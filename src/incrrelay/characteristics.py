@@ -8,13 +8,14 @@ the remote current, and the convex hull of sampled apparent impedances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import config
-from .admittance import FaultSpec
-from .incremental import OmegaCache, remote_current
-from .loops import apparent_impedance, fault_resistance_direction
+from .admittance import FAULT_TYPES, FaultSpec
+from .incremental import OmegaCache, prefault_vector, remote_current
+from .loops import UnenergizedLoopError, apparent_impedances, fault_resistance_direction
 from .network import NetworkModel
 from .phasors import MeasurementWindow
 
@@ -67,37 +68,6 @@ def grid_perimeter(n: int) -> tuple[tuple[float, float], ...]:
     return tuple(dict.fromkeys(pts))
 
 
-def _sample_cloud(
-    net: NetworkModel,
-    eta: str,
-    window: MeasurementWindow,
-    grid,
-    cache: OmegaCache | None,
-) -> tuple[list[complex], list[tuple[float, float]]]:
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    cache = cache or OmegaCache(net)
-    line = net.protected
-    points: list[complex] = []
-    clamped: list[tuple[float, float]] = []
-    for m_t_raw, m_f in grid:
-        m_t = config.clamp_location(m_t_raw)
-        fault = FaultSpec(eta, m_t, m_f, net.r_fault_max)
-        try:
-            if m_f == 0.0:
-                z = apparent_impedance(eta, window, line, None, fault)
-            else:
-                sigma = remote_current(cache.get(fault), window)
-                z = apparent_impedance(eta, window, line, sigma, fault)
-        except Exception as exc:
-            raise type(exc)(
-                f"{exc} [at grid point (m_t={m_t_raw}, m_f={m_f})]"
-            ) from exc
-        points.append(z)
-        clamped.append((m_t, m_f))
-    return points, clamped
-
-
 def exact_sampled(
     net: NetworkModel,
     eta: str,
@@ -105,14 +75,49 @@ def exact_sampled(
     grid,
     cache: OmegaCache | None = None,
 ) -> Characteristic:
-    """Point cloud of apparent impedances over a grid of fault realizations."""
-    points, clamped = _sample_cloud(net, eta, window, grid, cache)
+    """Point cloud of apparent impedances over a grid of fault realizations.
+
+    All resistive points are evaluated at once: one Omega stack from the
+    cache's terminal reduction, then remote currents and apparent
+    impedances as array operations.
+    """
+    if eta not in FAULT_TYPES:
+        raise ValueError(f"unknown fault type {eta!r}; expected one of {FAULT_TYPES}")
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    cache = cache or OmegaCache(net)
+    line = net.protected
+    pts = np.asarray(grid, dtype=float).reshape(-1, 2)
+    e = config.eps()
+    m_t = np.clip(pts[:, 0], e, 1.0 - e)
+    m_f = pts[:, 1]
+    bad = ~((m_f >= 0.0) & (m_f <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"m_f must lie in [0, 1], got {m_f[k]} at grid point {k}")
+    z = m_t * line.z1  # bolted points (m_f = 0) read the line fraction
+    res = m_f != 0.0
+    if res.any():
+        omegas = cache.omegas(eta, m_t[res], m_f[res], net.r_fault_max)
+        sigma = omegas @ prefault_vector(window)
+        try:
+            z[res] = apparent_impedances(
+                eta, window, line, sigma, m_t[res], m_f[res], net.r_fault_max
+            )
+        except UnenergizedLoopError as exc:
+            # the loop current is the window's, so the first resistive point
+            # is where a pointwise sweep fails
+            k = int(np.argmax(res))
+            raise type(exc)(
+                f"{exc} [at grid point (m_t={grid[k][0]}, m_f={grid[k][1]})]"
+            ) from exc
+    samples = tuple(z.tolist())
     return Characteristic(
         kind="exact-sampled",
-        vertices=tuple(points),
+        vertices=samples,
         eta=eta,
-        samples=tuple(points),
-        meta={"grid": clamped},
+        samples=samples,
+        meta={"grid": list(zip(m_t.tolist(), m_f.tolist()))},
     )
 
 
@@ -121,6 +126,7 @@ def parallelogram(
     eta: str,
     window: MeasurementWindow,
     m_hat: tuple[float, float],
+    cache: OmegaCache | None = None,
 ) -> Characteristic:
     """Minkowski sum of the line segment [0, z1] and the resistance segment.
 
@@ -133,7 +139,7 @@ def parallelogram(
         raise ValueError(f"m_f_hat must lie in (0, 1], got {m_f_hat}")
     line = net.protected
     fault = FaultSpec(eta, m_t_hat, m_f_hat, net.r_fault_max)
-    sigma_hat = remote_current(OmegaCache(net).get(fault), window)
+    sigma_hat = remote_current((cache or OmegaCache(net)).omega_map(fault), window)
     w = fault_resistance_direction(eta, window, line, sigma_hat, net.r_fault_max)
     z = line.z1
     meta = {"m_hat": (m_t_hat, m_f_hat)}
@@ -153,66 +159,68 @@ def _cross(u: complex, v: complex) -> float:
     return u.real * v.imag - u.imag * v.real
 
 
-def convex_hull(points) -> list[complex]:
-    """Counterclockwise convex hull by gift wrapping.
+# Shewchuk's bound on the rounding error of the float orientation determinant
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+# below this the products may underflow and the bound no longer holds
+_ORIENT_TINY = 2.0**-900
 
-    Collinear points are pruned (the farthest candidate wins each wrap step);
-    one- and two-point inputs come back unchanged as degenerate polygons.
+
+def _orientation(o: complex, a: complex, b: complex) -> int:
+    """Exact sign of cross(a - o, b - o): +1 left turn, -1 right turn, 0 collinear.
+
+    The float determinant decides when it clears its error bound; otherwise
+    the sign is recomputed in exact rationals (floats are exact rationals),
+    an adaptive predicate in the manner of Shewchuk (1997).
+    """
+    left = (a.real - o.real) * (b.imag - o.imag)
+    right = (a.imag - o.imag) * (b.real - o.real)
+    det = left - right
+    bound = _ORIENT_ERR * (abs(left) + abs(right))
+    if abs(det) > bound and bound > _ORIENT_TINY:
+        return 1 if det > 0.0 else -1
+    ox, oy = Fraction(o.real), Fraction(o.imag)
+    exact = (Fraction(a.real) - ox) * (Fraction(b.imag) - oy) - (
+        Fraction(a.imag) - oy
+    ) * (Fraction(b.real) - ox)
+    return (exact > 0) - (exact < 0)
+
+
+def convex_hull(points) -> list[complex]:
+    """Counterclockwise convex hull by Andrew's monotone chain.
+
+    The vertices are exactly the extreme points: collinear boundary points
+    are pruned by an exact orientation test. The hull starts at the
+    lexicographically smallest point; one- and two-point inputs come back
+    as degenerate polygons.
     """
     uniq = list(dict.fromkeys(complex(p) for p in points))
     if not uniq:
         raise ValueError("need at least one point")
-    if len(uniq) <= 2:
-        return sorted(uniq, key=lambda p: (p.imag, p.real))
-    if _collinear_set(uniq):
-        # degenerate cloud: take the lexicographic extremes along the line
-        lo = min(uniq, key=lambda p: (p.real, p.imag))
-        hi = max(uniq, key=lambda p: (p.real, p.imag))
-        return sorted({lo, hi}, key=lambda p: (p.imag, p.real))
+    xy = np.array([(p.real, p.imag) for p in uniq])
+    pts = [uniq[k] for k in np.lexsort((xy[:, 1], xy[:, 0]))]
+    if len(pts) <= 2:
+        return pts
 
-    start = min(uniq, key=lambda p: (p.imag, p.real))
-    hull = [start]
-    cur = start
-    while True:
-        cand = None
-        for p in uniq:
-            if p == cur:
-                continue
-            if cand is None:
-                cand = p
-                continue
-            cr = _cross(cand - cur, p - cur)
-            if cr < 0.0:
-                cand = p
-            elif cr == 0.0:
-                d_p, d_c = abs(p - cur), abs(cand - cur)
-                same_dir = (
-                    (p - cur).real * (cand - cur).real
-                    + (p - cur).imag * (cand - cur).imag
-                ) > 0.0
-                # farthest wins; an exact distance tie means the coordinates
-                # differ below float resolution, so break it canonically to
-                # stay independent of input ordering
-                if d_p > d_c or (
-                    d_p == d_c
-                    and same_dir
-                    and (p.real, p.imag) < (cand.real, cand.imag)
-                ):
-                    cand = p
-        if cand is None or cand == start:
-            break
-        hull.append(cand)
-        cur = cand
-        if len(hull) > len(uniq):
-            raise RuntimeError("gift wrapping failed to terminate")
-    return hull
+    def chain(seq) -> list[complex]:
+        h: list[complex] = []
+        for p in seq:
+            while len(h) >= 2 and _orientation(h[-2], h[-1], p) <= 0:
+                h.pop()
+            h.append(p)
+        return h
+
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
 
 
-def _collinear_set(points: list[complex]) -> bool:
-    if len(points) < 3:
-        return True
-    p0, p1 = points[0], points[1]
-    return all(_cross(p1 - p0, p - p0) == 0.0 for p in points[2:])
+def hull_of_cloud(cloud: Characteristic) -> Characteristic:
+    """Convex-hull characteristic of an exact sampled cloud."""
+    return Characteristic(
+        kind="convex-hull",
+        vertices=tuple(convex_hull(cloud.samples)),
+        eta=cloud.eta,
+        samples=cloud.samples,
+        meta=cloud.meta,
+    )
 
 
 def hull_characteristic(
@@ -225,15 +233,7 @@ def hull_characteristic(
     """Convex hull of the exact sampled cloud (default: the 22-point grid)."""
     if grid is None:
         grid = grid_paper22()
-    points, clamped = _sample_cloud(net, eta, window, grid, cache)
-    hull = convex_hull(points)
-    return Characteristic(
-        kind="convex-hull",
-        vertices=tuple(hull),
-        eta=eta,
-        samples=tuple(points),
-        meta={"grid": clamped},
-    )
+    return hull_of_cloud(exact_sampled(net, eta, window, grid, cache))
 
 
 def _diameter(vertices) -> float:

@@ -14,7 +14,8 @@ Subcommands:
     Cross-check the incremental pipeline against the simulator over a grid
     and exit nonzero if any residual exceeds the documented thresholds.
 
-Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 residual failure.
+Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 residual failure,
+5 internal error (an unexpected exception, reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .characteristics import (
     grid_dense,
     grid_paper22,
     grid_perimeter,
-    hull_characteristic,
+    hull_of_cloud,
     parallelogram,
 )
 from .incremental import OmegaCache
@@ -50,6 +51,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_RESIDUAL = 4
+EXIT_INTERNAL = 5
 
 SIGMA_THRESHOLD = 1e-9
 Z_A_THRESHOLD = 1e-9
@@ -275,14 +277,14 @@ def cmd_characteristic(args) -> int:
     m_hat = _parse_mhat(args.mhat)
     out_base = Path(args.out)
 
+    cache = OmegaCache(net)
     for eta in faults:
         start = time.perf_counter()
         nominal = FaultSpec(eta, m_hat[0], m_hat[1], net.r_fault_max)
         window = simulate(net, nominal).window
-        cache = OmegaCache(net)
         cloud = exact_sampled(net, eta, window, grid, cache)
-        hull = hull_characteristic(net, eta, window, grid, cache)
-        para = parallelogram(net, eta, window, m_hat)
+        hull = hull_of_cloud(cloud)
+        para = parallelogram(net, eta, window, m_hat, cache)
         elapsed_ms = 1000.0 * (time.perf_counter() - start)
 
         z1 = net.protected.z1
@@ -413,6 +415,10 @@ def main(argv=None) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # the documented last resort: no traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -91,24 +91,61 @@ def loop_quantities(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantitie
     )
 
 
+def _fault_voltage_row(eta: str) -> np.ndarray:
+    row = PSI[LOOP_FOR_FAULT[eta]] @ np.linalg.pinv(normalized_stamp(eta))
+    row.setflags(write=False)
+    return row
+
+
+_FAULT_VOLTAGE_ROWS = {eta: _fault_voltage_row(eta) for eta in FAULT_TYPES}
+
+
 def fault_voltage_row(eta: str) -> np.ndarray:
     """Row vector c with psi_loop . v_F = m_f*r_f * (c . i_F).
 
     i_F is the total current into the fault network, and c projects it back
     to the loop voltage through the pseudoinverse of the normalized stamp.
     The loop selector lies in the stamp's range for the matching loop, so the
-    projection is well defined.
+    projection is well defined. The 11 rows are computed once, at import.
     """
     if eta not in FAULT_TYPES:
         raise ValueError(f"unknown fault type {eta!r}")
-    pinv = np.linalg.pinv(normalized_stamp(eta))
-    return PSI[LOOP_FOR_FAULT[eta]] @ pinv
+    return _FAULT_VOLTAGE_ROWS[eta]
 
 
 def _resistance_numerator(eta: str, w: MeasurementWindow, sigma: Phasor3) -> complex:
     i_l_inc = incremental(w.i_now, w.i_prev)
     phi = (i_l_inc + sigma).as_array()
     return complex(fault_voltage_row(eta) @ phi)
+
+
+def _energized_loop(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantities:
+    lq = loop_quantities(eta, w, line)
+    if abs(lq.i_a) <= config.I_MIN:
+        raise UnenergizedLoopError(
+            f"loop {LOOP_FOR_FAULT[eta]} current |{lq.i_a:.3e}| below floor"
+        )
+    return lq
+
+
+def apparent_impedances(
+    eta: str,
+    w: MeasurementWindow,
+    line: Line,
+    sigma: np.ndarray,
+    m_t: np.ndarray,
+    m_f: np.ndarray,
+    r_f: float,
+) -> np.ndarray:
+    """Apparent impedance of the matched loop at N resistive fault points.
+
+    ``sigma`` is the (N, 3) stack of remote currents, one row per point
+    (m_t[k], m_f[k]); the window and the loop current are shared.
+    """
+    lq = _energized_loop(eta, w, line)
+    phi = incremental(w.i_now, w.i_prev).as_array() + sigma
+    num = phi @ fault_voltage_row(eta)
+    return m_t * line.z1 + m_f * r_f * num / lq.i_a
 
 
 def apparent_impedance(
@@ -127,13 +164,10 @@ def apparent_impedance(
         return m.m_t * line.z1
     if sigma is None:
         raise ValueError("sigma is required for m_f > 0")
-    lq = loop_quantities(eta, w, line)
-    if abs(lq.i_a) <= config.I_MIN:
-        raise UnenergizedLoopError(
-            f"loop {LOOP_FOR_FAULT[eta]} current |{lq.i_a:.3e}| below floor"
-        )
-    num = _resistance_numerator(eta, w, sigma)
-    return m.m_t * line.z1 + m.m_f * m.r_f * num / lq.i_a
+    z = apparent_impedances(
+        eta, w, line, sigma.as_array()[None, :], m.m_t, m.m_f, m.r_f
+    )
+    return complex(z[0])
 
 
 def incremental_apparent_impedance(
@@ -176,9 +210,5 @@ def fault_resistance_direction(
     With the remote current frozen at a nominal fault point, the apparent
     impedance becomes m_t * z1 + m_f * w; this returns w.
     """
-    lq = loop_quantities(eta, w, line)
-    if abs(lq.i_a) <= config.I_MIN:
-        raise UnenergizedLoopError(
-            f"loop {LOOP_FOR_FAULT[eta]} current |{lq.i_a:.3e}| below floor"
-        )
+    lq = _energized_loop(eta, w, line)
     return r_f * _resistance_numerator(eta, w, sigma_hat) / lq.i_a

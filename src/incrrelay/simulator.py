@@ -75,6 +75,11 @@ def _naive_y(
     With ``split=False`` the protected line is stamped whole and the fault
     bus block is pinned to zero; used for the prefault solve, where keeping
     the huge clamped-segment admittances out of the matrix matters.
+
+    Stamps accumulate in extended precision: at a clamped location the
+    segment admittance is ~1/eps times the rest, and a double sum would
+    round away the low digits of every other admittance at that bus (a
+    relative error of ~1e-9 in the remote current at eps = 1e-6).
     """
     offsets = {"F": 0}
     nxt = 3
@@ -83,7 +88,7 @@ def _naive_y(
             if bus.role == role:
                 offsets[bus.id] = nxt
                 nxt += 3
-    y = np.zeros((nxt, nxt), dtype=complex)
+    y = np.zeros((nxt, nxt), dtype=np.clongdouble)
 
     segments: list[tuple[str, str, np.ndarray]] = []
     for line in net.lines:
@@ -162,8 +167,8 @@ def _solve_state(
 ) -> tuple[NetworkState, float]:
     """Solve one nodal system; ``fault=None`` means the unfaulted network."""
     size = y.shape[0]
-    a = y.astype(complex).copy()
-    b = np.zeros(size, dtype=complex)
+    a = y.copy()
+    b = np.zeros(size, dtype=np.clongdouble)
 
     for bus in net.buses:
         off = offsets[bus.id]
@@ -194,12 +199,12 @@ def _solve_state(
         else:
             rows = _bolted_constraints(fault.eta)
             n_con = len(rows)
-            aug = np.zeros((size + n_con, size + n_con), dtype=complex)
+            aug = np.zeros((size + n_con, size + n_con), dtype=a.dtype)
             aug[:size, :size] = a
             for k, row in enumerate(rows):
                 aug[size + k, 0:3] = row
                 aug[0:3, size + k] = row
-            b = np.concatenate([b, np.zeros(n_con, dtype=complex)])
+            b = np.concatenate([b, np.zeros(n_con, dtype=b.dtype)])
             a = aug
 
     x = refined_solve(a, b)

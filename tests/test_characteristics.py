@@ -1,5 +1,7 @@
 """Characteristic constructions: cloud, parallelogram, and convex hull."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,23 +26,91 @@ from incrrelay.incremental import OmegaCache, build_omega_map
 from incrrelay.loops import fault_resistance_direction
 
 
+def _exact_open_halfplane(p: complex, others) -> bool:
+    """Exactly: do all vectors q - p lie in an open half-plane through 0?
+
+    Scans the vectors once, keeping the clockwise-most (r) and the
+    counterclockwise-most (l) ray of the cone they span; the answer is no
+    as soon as that cone would reach an angle of pi.
+    """
+    px, py = Fraction(p.real), Fraction(p.imag)
+    vs = [(Fraction(q.real) - px, Fraction(q.imag) - py) for q in others]
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    r = l = vs[0]
+    for v in vs[1:]:
+        c_r, c_l = cross(r, v), cross(l, v)
+        if c_r >= 0 and c_l <= 0:  # inside the cone, or on a one-ray cone's line
+            if c_r == 0 and c_l == 0 and r[0] * v[0] + r[1] * v[1] < 0:
+                return False
+        elif c_r < 0:  # clockwise of r
+            if cross(v, l) <= 0:
+                return False
+            r = v
+        else:  # counterclockwise of l
+            if c_r == 0:
+                return False
+            l = v
+    return True
+
+
+def _outside_octagon(pts: np.ndarray) -> np.ndarray:
+    """Indices of points not certainly inside the octagon of the cloud's
+    extreme points in eight directions; the others cannot be hull vertices."""
+    dirs = np.exp(0.25j * np.pi * np.arange(8))
+    ext = list(dict.fromkeys(np.argmax((pts[None, :] * dirs.conj()[:, None]).real, axis=1).tolist()))
+    if len(ext) < 3:
+        return np.arange(len(pts))
+    v = pts[ext]
+    e = np.roll(v, -1) - v
+    cr = (e.conj()[:, None] * (pts[None, :] - v[:, None])).imag
+    margin = 1e-9 * np.ptp(pts.real) ** 2 + 1e-9 * np.ptp(pts.imag) ** 2
+    return np.flatnonzero(~(cr > margin).all(axis=0))
+
+
 def oracle_hull(points):
-    """Independent hull oracle: monotone chain with strict collinear pruning."""
-    pts = sorted(dict.fromkeys(points), key=lambda p: (p.real, p.imag))
+    """Independent exact hull oracle: the set of extreme points.
+
+    p is a hull vertex iff all other points lie in an open half-plane
+    through p, i.e. the largest angular gap around p exceeds pi; a gap of
+    exactly pi puts p on a segment between two others, which strict
+    collinear pruning drops. Float angles decide with a 1e-9 rad margin,
+    far above their error of a few ulps. A gap within the margin is decided
+    exactly, on the points whose directions lie within 1e-6 rad of the
+    gap's two edges plus one point inside the occupied arc, which fixes the
+    side of the cone: every other direction lies inside the cone they span.
+    """
+    pts = np.array(list(dict.fromkeys(complex(p) for p in points)))
     if len(pts) <= 2:
-        return set(pts)
+        return set(pts.tolist())
+    cand = _outside_octagon(pts)
+    rows = max(1, 2**20 // len(pts))
+    extreme = set()
+    for start in range(0, len(cand), rows):
+        idx = cand[start : start + rows]
+        d = pts[None, :] - pts[idx][:, None]
+        theta = np.where(d == 0, np.nan, np.angle(d))  # the point itself: NaN
+        order = np.argsort(theta, axis=1)[:, :-1]  # NaN sorts last
+        srt = np.take_along_axis(theta, order, axis=1)
+        gaps = np.diff(srt, axis=1, append=srt[:, :1] + 2.0 * np.pi)
+        for row, k in enumerate(idx):
+            i = int(np.argmax(gaps[row]))
+            m = srt.shape[1]
+            g = gaps[row, i]
+            if g > np.pi + 1e-9:
+                extreme.add(complex(pts[k]))
+            elif g >= np.pi - 1e-9:
+                def dist(angle):  # angular distance of every direction to ``angle``
+                    return np.abs(np.angle(np.exp(1j * (theta[row] - angle))))
 
-    def chain(seq):
-        h = []
-        for p in seq:
-            while len(h) >= 2 and _cross(h[-1] - h[-2], p - h[-2]) <= 0.0:
-                h.pop()
-            h.append(p)
-        return h
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    return set(lower[:-1] + upper[:-1])
+                first = srt[row, (i + 1) % m]  # the occupied arc runs ccw from here
+                near = (dist(first) < 1e-6) | (dist(srt[row, i]) < 1e-6)
+                near[np.nanargmin(dist(first + 0.5 * (2.0 * np.pi - g)))] = True
+                if _exact_open_halfplane(pts[k], pts[near].tolist()):
+                    extreme.add(complex(pts[k]))
+    return extreme
 
 
 def assert_all_points_left_of_all_edges(hull, points):

@@ -6,7 +6,10 @@ import yaml
 
 from incrrelay import contains, fourbus_path
 from incrrelay.characteristics import Characteristic
+
+from test_characteristics import oracle_hull
 from incrrelay.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_RESIDUAL,
@@ -260,3 +263,43 @@ def test_eps_env_override(tmp_path, monkeypatch):
 
     assert config.eps() == 0.01
     assert config.clamp_location(0.0) == 0.01
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, monkeypatch, capsys):
+    import incrrelay.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("something broke\nacross two lines")
+
+    monkeypatch.setattr(cli, "exact_sampled", broken)
+    rc = main(
+        ["characteristic", "--network", NET, "--fault", "ag", "--out", str(tmp_path / "x")]
+    )
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: something broke across two lines\n"
+
+
+def test_dense_ag_hull_is_the_exact_extreme_point_set(tmp_path):
+    # gift wrapping never terminated on this cloud and the command crashed
+    out = tmp_path / "ag"
+    rc = main(
+        [
+            "characteristic",
+            "--network",
+            NET,
+            "--fault",
+            "ag",
+            "--grid",
+            "dense:100x100",
+            "--format",
+            "json",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == EXIT_OK
+    doc = json.loads((tmp_path / "ag.json").read_text())
+    cloud = [complex(*c["z"]) for c in doc["cloud"]]
+    assert len(cloud) == 10000
+    assert set(complex(*v) for v in doc["hull"]) == oracle_hull(cloud)

@@ -1,5 +1,7 @@
 """Selector maps and the remote-current operator."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,10 +139,19 @@ relay: {line: main, local: a, remote: b, r_fault_max: 0.5}
     assert np.allclose(right, want, rtol=1e-9, atol=1e-12)
 
 
-def test_cache_returns_same_map(net):
+def test_cache_reduces_the_network_once(net, monkeypatch):
+    # the package attribute ``incremental`` is the phasor function
+    inc = import_module("incrrelay.incremental")
+    calls = []
+    real = inc.terminal_impedance
+    monkeypatch.setattr(inc, "terminal_impedance", lambda n: calls.append(n) or real(n))
     cache = OmegaCache(net)
-    f = FaultSpec("bc", 0.25, 0.75, net.r_fault_max)
-    assert cache.get(f) is cache.get(f)
+    stack = cache.omegas("bc", [0.25, 0.5], [0.75, 1.0], net.r_fault_max)
+    cache.omegas("ag", [0.5], [1.0], net.r_fault_max)
+    assert len(calls) == 1
+    assert stack.shape == (2, 3, 6)
+    want = build_omega_map(net, FaultSpec("bc", 0.5, 1.0, net.r_fault_max)).omega
+    assert np.allclose(stack[1], want, rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=20, deadline=None)

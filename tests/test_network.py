@@ -160,3 +160,60 @@ def test_asymmetric_admittance_rejected():
     bad = MINIMAL.replace("admittance: {diag: [0.5, -0.1]}", f"admittance: [{entries}]")
     with pytest.raises(NetworkSchemaError, match="symmetric"):
         parse_network(bad)
+
+
+IBR_B = (
+    "- {id: b, role: ibr, current: [[0.3, 0], [0, 0.3], [0.1, 0.1]], "
+    "admittance: {diag: [0.08, -0.45]}}"
+)
+NINE = ", ".join(f"[{v}, 0]" for v in (1, 0, 0, 0, ".nan", 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("z1: [0.01, 0.1], z0", "z1: [.nan, 0.1], z0", r"lines\[0\]\.z1"),
+        ("z1: [0.01, 0.1], z0", "z1: [0.01, .inf], z0", r"lines\[0\]\.z1"),
+        ("z0: [0.03, 0.3]}", "z0: [.nan, 0.3]}", r"lines\[0\]\.z0"),
+        ("z0: [0.03, 0.3]}", "z0: [0.03, -.inf]}", r"lines\[0\]\.z0"),
+        ("diag: [0.5, -0.1]", "diag: [.nan, -0.1]", r"buses\[1\]\.admittance\.diag"),
+        ("{diag: [0.5, -0.1]}", f"[{NINE}]", r"buses\[1\]\.admittance\[4\]"),
+        ("- {id: b, role: junction}", IBR_B.replace("0.08", ".inf"), r"buses\[2\]\.admittance\.diag"),
+        ("- {id: b, role: junction}", IBR_B.replace("0.3, 0]", ".nan, 0]", 1), r"buses\[2\]\.current\[0\]"),
+        ("r_fault_max: 1.0", "r_fault_max: .inf", r"relay\.r_fault_max"),
+        ("r_fault_max: 1.0", "r_fault_max: .nan", r"relay\.r_fault_max"),
+    ],
+)
+def test_non_finite_numbers_rejected_naming_the_field(old, new, field):
+    assert old in MINIMAL
+    with pytest.raises(NetworkSchemaError, match=field + r".*finite"):
+        parse_network(MINIMAL.replace(old, new, 1))
+
+
+def _meshed_text() -> str:
+    from netgen import random_network_text
+
+    return random_network_text(1, meshed=True, parallel=True)
+
+
+@pytest.mark.parametrize("kind", ["bundled", "meshed"])
+def test_libyaml_and_python_loaders_agree(kind, monkeypatch):
+    import yaml
+
+    import incrrelay.network as network
+
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    if kind == "bundled":
+        text = Path(fourbus_path()).read_text(encoding="utf-8")
+    else:
+        text = _meshed_text()
+    assert network._LOADER is yaml.CSafeLoader
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    fast = parse_network(text)
+    monkeypatch.setattr(network, "_LOADER", yaml.SafeLoader)
+    slow = parse_network(text)
+    if kind == "meshed":
+        assert len(slow.lines) > len(slow.buses)  # has cycles
+    assert fast.lines == slow.lines
+    assert serialize_network(fast) == serialize_network(slow)
