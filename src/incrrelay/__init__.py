@@ -27,7 +27,14 @@ from .network import (
     serialize_network,
 )
 from .phasors import MeasurementWindow, Phasor3, incremental, zero_sequence
-from .simulator import ScenarioResult, simulate, verify_pipeline
+from .simulator import (
+    ScenarioResult,
+    ScenarioStack,
+    simulate,
+    simulate_many,
+    verify_grid,
+    verify_pipeline,
+)
 
 __all__ = [
     "FAULT_TYPES",
@@ -60,7 +67,10 @@ __all__ = [
     "incremental",
     "zero_sequence",
     "ScenarioResult",
+    "ScenarioStack",
     "simulate",
+    "simulate_many",
+    "verify_grid",
     "verify_pipeline",
     "fourbus_path",
 ]

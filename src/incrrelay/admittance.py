@@ -1,23 +1,15 @@
-"""Faulted admittance assembly and the incremental system solve.
+"""Fault types, fault realizations, and fault-resistor stamps.
 
-The protected line is split at a virtual fault bus F into segments of
-impedance m_T * Z and (1 - m_T) * Z. The bus admittance matrix carries only
-series stamps; shunt admittances and the fault stamp enter through the
-left-hand-side correction of the incremental system, whose unknowns are the
-incremental voltages at F, junction, and IBR buses plus the incremental SG
-currents.
+A fault of type eta at the virtual fault bus F is a network of equal
+resistors m_F * R_F: phases shorted to ground and phase-to-phase pairs. Its
+3x3 admittance is the normalized stamp scaled by 1 / (m_F * R_F).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import config
-from .linalg import refined_solve
-from .network import BusRole, NetworkModel, phase_impedance
 
 FAULT_TYPES = (
     "ag",
@@ -61,7 +53,7 @@ class BoltedFaultError(ValueError):
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """The incremental left-hand side is singular at the given fault point."""
+    """The incremental network or a fault system is singular."""
 
 
 @dataclass(frozen=True)
@@ -82,80 +74,6 @@ class FaultSpec:
             raise ValueError(f"m_f must lie in [0, 1], got {self.m_f}")
         if self.r_f <= 0.0:
             raise ValueError(f"r_f must be positive, got {self.r_f}")
-
-
-@dataclass(frozen=True)
-class FaultedSystem:
-    """Bus admittance matrix with the virtual fault bus at block offset 0."""
-
-    y: np.ndarray  # 3(n+1) x 3(n+1), siemens
-    m_t: float
-    offsets: dict[str, int] = field(compare=False)  # bus id -> row offset; "F" = 0
-    order: tuple[str, ...] = ()  # bus ids in block order after F
-
-    def block(self, bus_id: str) -> slice:
-        off = 0 if bus_id == "F" else self.offsets[bus_id]
-        return slice(off, off + 3)
-
-
-@dataclass(frozen=True)
-class IncrementalSystem:
-    """Left- and right-hand sides of the incremental solve.
-
-    Unknown ordering follows the faulted system blocks: incremental voltages
-    at F, junctions, and IBRs, then incremental SG currents in the SG slots.
-    """
-
-    y_lhs: np.ndarray
-    y_rhs: np.ndarray  # 3(n+1) x 3
-    m_t: float
-    offsets: dict[str, int] = field(compare=False)
-
-
-def block_order(net: NetworkModel) -> tuple[str, ...]:
-    """Bus ordering used in all stacked vectors: junctions, IBRs, then SGs."""
-    order = []
-    for role in (BusRole.JUNCTION, BusRole.IBR, BusRole.SG):
-        order.extend(b.id for b in net.buses if b.role == role)
-    return tuple(order)
-
-
-def assemble_y(net: NetworkModel, m_t: float) -> FaultedSystem:
-    """Series-only nodal admittance matrix with the virtual fault bus.
-
-    Every line stamps the inverse of its 3x3 phase-impedance matrix; the
-    protected line stamps two segments, local--F and F--remote. Shunt terms
-    are deliberately absent (they enter the incremental left-hand side).
-    """
-    e = config.eps()
-    if not e <= m_t <= 1.0 - e:
-        raise FaultRangeError(
-            f"m_t={m_t} outside the clamped range [{e}, {1.0 - e}]"
-        )
-    order = block_order(net)
-    offsets = {bus_id: 3 * (k + 1) for k, bus_id in enumerate(order)}
-    offsets["F"] = 0
-    n = len(net.buses)
-    y = np.zeros((3 * (n + 1), 3 * (n + 1)), dtype=complex)
-
-    def stamp(off_i: int, off_j: int, y_blk: np.ndarray):
-        y[off_i : off_i + 3, off_i : off_i + 3] += y_blk
-        y[off_j : off_j + 3, off_j : off_j + 3] += y_blk
-        y[off_i : off_i + 3, off_j : off_j + 3] -= y_blk
-        y[off_j : off_j + 3, off_i : off_i + 3] -= y_blk
-
-    for line in net.lines:
-        z = phase_impedance(line)
-        if line.id == net.protected_line:
-            # from/to may be (local, remote) or (remote, local); segments are
-            # anchored to the relay's local bus
-            y_local = np.linalg.inv(m_t * z)
-            y_remote = np.linalg.inv((1.0 - m_t) * z)
-            stamp(offsets[net.local_bus], 0, y_local)
-            stamp(0, offsets[net.remote_bus], y_remote)
-        else:
-            stamp(offsets[line.from_bus], offsets[line.to_bus], np.linalg.inv(z))
-    return FaultedSystem(y=y, m_t=m_t, offsets=offsets, order=order)
 
 
 def fault_stamp(eta: str, m_f: float, r_f: float) -> np.ndarray:
@@ -182,58 +100,3 @@ def normalized_stamp(eta: str) -> np.ndarray:
         m[x, y] -= 1.0
         m[y, x] -= 1.0
     return m
-
-
-def assemble_incremental(
-    net: NetworkModel,
-    faulted: FaultedSystem,
-    stamp: np.ndarray,
-    m_t: float,
-) -> IncrementalSystem:
-    """Build the incremental left- and right-hand sides.
-
-    The left-hand side adds the fault stamp at F, junction shunts, and the
-    negated IBR Norton admittances to the bus admittance matrix; the SG
-    voltage columns are zeroed out and replaced with -I so the incremental SG
-    currents take the SG slots of the unknown vector.
-    """
-    if faulted.m_t != m_t:
-        raise ValueError("faulted system was assembled for a different m_t")
-    y_lhs = faulted.y.copy()
-    y_lhs[0:3, 0:3] += stamp
-    for bus in net.buses:
-        blk = faulted.block(bus.id)
-        if bus.role is BusRole.JUNCTION:
-            y_lhs[blk, blk] += bus.shunt()
-        elif bus.role is BusRole.IBR:
-            y_lhs[blk, blk] -= bus.shunt()
-    for bus in net.buses_with_role(BusRole.SG):
-        blk = faulted.block(bus.id)
-        y_lhs[:, blk] = 0.0
-        y_lhs[blk, blk] = -np.eye(3)
-
-    y_rhs = np.zeros((y_lhs.shape[0], 3), dtype=complex)
-    y_rhs[0:3, :] = -stamp
-
-    cond = np.linalg.cond(y_lhs)
-    if not np.isfinite(cond):
-        raise SingularSystemError(
-            f"incremental system singular at m_t={m_t}"
-        )
-    if cond > config.COND_WARN:
-        warnings.warn(
-            f"incremental system ill-conditioned at m_t={m_t}: cond={cond:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return IncrementalSystem(y_lhs=y_lhs, y_rhs=y_rhs, m_t=m_t, offsets=faulted.offsets)
-
-
-def solve_omega(sys: IncrementalSystem) -> np.ndarray:
-    """Dense solve mapping the prefault fault-bus voltage to the incremental state."""
-    try:
-        return refined_solve(sys.y_lhs, sys.y_rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"incremental system singular at m_t={sys.m_t}"
-        ) from exc

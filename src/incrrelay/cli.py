@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import config
+from . import config, fourbus_path
 from .admittance import FAULT_TYPES, FaultSpec
 from .characteristics import (
     Characteristic,
@@ -44,7 +44,7 @@ from .characteristics import (
 from .incremental import OmegaCache
 from .network import NetworkError, NetworkModel, parse_network
 from .phasors import Phasor3
-from .simulator import ScenarioResult, simulate, verify_pipeline
+from .simulator import ScenarioResult, simulate, verify_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,7 +169,7 @@ def characteristic_json(
         "parallelogram": _vertex_list(para.vertices),
         "m_hat": list(para.meta["m_hat"]),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def characteristic_svg(
@@ -321,14 +321,16 @@ def cmd_verify(args) -> int:
     faults = _parse_faults(args.fault)
     grid = _parse_grid(args.grid)
 
+    cache = OmegaCache(net)
     rows = []
     failed = False
     for eta in faults:
-        for m_t, m_f in grid:
-            if m_f == 0.0:
-                continue
-            fault = FaultSpec(eta, config.clamp_location(m_t), m_f, net.r_fault_max)
-            rep = verify_pipeline(net, fault)
+        points = [
+            FaultSpec(eta, config.clamp_location(m_t), m_f, net.r_fault_max)
+            for m_t, m_f in grid
+            if m_f != 0.0
+        ]
+        for rep in verify_grid(net, points, cache):
             ok = (
                 rep.sigma_rel_err <= SIGMA_THRESHOLD
                 and rep.z_a_rel_err <= Z_A_THRESHOLD
@@ -338,8 +340,8 @@ def cmd_verify(args) -> int:
             rows.append(
                 (
                     eta,
-                    fault.m_t,
-                    m_f,
+                    rep.fault.m_t,
+                    rep.fault.m_f,
                     rep.sigma_rel_err,
                     rep.z_a_rel_err,
                     rep.prefault_balance_residual,
@@ -369,7 +371,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--network", required=True, help="network description file")
+        p.add_argument(
+            "--network",
+            default=fourbus_path(),
+            help="network description file (default: the bundled four-bus network)",
+        )
         p.add_argument(
             "--fault",
             default="all",

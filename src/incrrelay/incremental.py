@@ -78,7 +78,7 @@ def omega_stack(
     eta: str,
     m_t: np.ndarray,
     m_f: np.ndarray,
-    r_f: float,
+    r_f: float | np.ndarray,
 ) -> np.ndarray:
     """(N, 3, 6) remote-current operators for N resistive fault points.
 
@@ -170,8 +170,11 @@ class OmegaCache:
         self.z_t = terminal_impedance(net)
         self.z_line = phase_impedance(net.protected)
 
-    def omegas(self, eta: str, m_t, m_f, r_f: float) -> np.ndarray:
-        """(N, 3, 6) Omega stack for resistive points (m_t[k], m_f[k])."""
+    def omegas(self, eta: str, m_t, m_f, r_f) -> np.ndarray:
+        """(N, 3, 6) Omega stack for resistive points (m_t[k], m_f[k]).
+
+        ``r_f`` is one resistance for every point or an (N,) array.
+        """
         m_t = np.asarray(m_t, dtype=float).reshape(-1)
         m_f = np.asarray(m_f, dtype=float).reshape(-1)
         return omega_stack(self.z_t, self.z_line, eta, m_t, m_f, r_f)
@@ -188,56 +191,3 @@ def build_omega_map(net: NetworkModel, fault: FaultSpec) -> RemoteCurrentMap:
     """Reduce the network and build the map of one fault realization (N = 1)."""
     return OmegaCache(net).omega_map(fault)
 
-
-# ---------------------------------------------------------------------------
-# dense reference path: no production caller; the tests compose it with
-# admittance.assemble_incremental into the oracle for the terminal reduction
-
-
-def selector(net: NetworkModel, offsets: dict[str, int], bus_id: str) -> np.ndarray:
-    """Row selector extracting bus ``bus_id``'s 3-block from the stacked state.
-
-    Defined only for the virtual fault bus and non-SG buses: the SG slots of
-    the stacked vector hold currents, not voltages.
-    """
-    if bus_id != "F" and net.bus(bus_id).role is BusRole.SG:
-        raise ValueError(f"bus {bus_id!r} is an SG; its slot holds a current")
-    size = 3 * (len(net.buses) + 1)
-    d = np.zeros((3, size))
-    off = 0 if bus_id == "F" else offsets[bus_id]
-    d[:, off : off + 3] = np.eye(3)
-    return d
-
-
-def _remote_kcl_rows(net: NetworkModel, offsets: dict[str, int]) -> np.ndarray:
-    """Row operator giving the incremental current into the protected line at R.
-
-    Equivalent to dividing the voltage difference across the remote segment
-    by its impedance, but expressed through the KCL balance at the remote
-    bus: that form stays accurate when the segment shrinks to the clamp
-    width and the voltage difference cancels catastrophically.
-    """
-    size = 3 * (len(net.buses) + 1)
-    rows = np.zeros((3, size), dtype=complex)
-    r_id = net.remote_bus
-    bus = net.bus(r_id)
-    d_r = selector(net, offsets, r_id)
-    if bus.role is BusRole.JUNCTION:
-        rows -= bus.shunt() @ d_r
-    else:  # IBR: incremental source current is zero, Norton term remains
-        rows += bus.shunt() @ d_r
-    for line in net.lines:
-        if line.id == net.protected_line:
-            continue
-        if line.from_bus == r_id:
-            other = line.to_bus
-        elif line.to_bus == r_id:
-            other = line.from_bus
-        else:
-            continue
-        w = np.linalg.inv(phase_impedance(line))
-        rows -= w @ d_r
-        if net.bus(other).role is not BusRole.SG:
-            # SG incremental voltage is zero; its term drops
-            rows += w @ selector(net, offsets, other)
-    return rows

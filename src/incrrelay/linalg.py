@@ -15,13 +15,20 @@ import numpy as np
 
 
 def refined_solve(a: np.ndarray, b: np.ndarray, iters: int = 2) -> np.ndarray:
-    """Solve a x = b with iterative refinement (extended-precision residual)."""
-    a_lo = np.asarray(a, dtype=complex)
-    x = np.linalg.solve(a_lo, np.asarray(b, dtype=complex))
-    a_hi = np.asarray(a, dtype=np.clongdouble)
+    """Solve a x = b with iterative refinement (extended-precision residual).
+
+    ``a`` may be a stack (..., n, n); ``b`` is then (..., n, k), with an
+    explicit trailing axis even for one right-hand side, since numpy 1.x and
+    2.x read a stacked (..., n) ``b`` differently. A 1-D ``b`` is one vector.
+    """
+    vector = np.ndim(b) == 1
     b_hi = np.asarray(b, dtype=np.clongdouble)
+    if vector:
+        b_hi = b_hi[:, None]
+    a_lo = np.asarray(a, dtype=complex)
+    x = np.linalg.solve(a_lo, b_hi.astype(complex))
+    a_hi = np.asarray(a, dtype=np.clongdouble)
     for _ in range(iters):
         r = b_hi - a_hi @ x.astype(np.clongdouble)
-        d = np.linalg.solve(a_lo, r.astype(complex))
-        x = x + d
-    return x
+        x = x + np.linalg.solve(a_lo, r.astype(complex))
+    return x[:, 0] if vector else x

@@ -23,8 +23,7 @@ from .phasors import (
     MeasurementWindow,
     Phasor3,
     incremental,
-    loop_projection,
-    zero_sequence,
+    phase_array,
 )
 
 # Loop used to measure each fault type. Multi-phase faults (with or without
@@ -68,25 +67,29 @@ def compensation_factor(line: Line) -> complex:
     return line.z0 / line.z1 - 1.0
 
 
-def _loop_current(loop: str, i: Phasor3, k: complex) -> complex:
-    cur = loop_projection(PSI[loop], i)
+def _loop_current(loop: str, i: np.ndarray, k: complex):
+    cur = i @ PSI[loop]
     if loop in GROUND_LOOPS:
-        cur += k * zero_sequence(i)
+        cur = cur + k * (i.sum(axis=-1) / 3.0)
     return cur
 
 
 def loop_quantities(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantities:
-    """Apparent voltage/current for the loop matched to fault type ``eta``."""
+    """Apparent voltage/current for the loop matched to fault type ``eta``.
+
+    ``w`` may be a stacked window; the loop values are then (N,) arrays.
+    """
     loop = LOOP_FOR_FAULT[eta]
     psi = PSI[loop]
     k = compensation_factor(line)
-    v_inc = incremental(w.v_now, w.v_prev)
-    i_inc = incremental(w.i_now, w.i_prev)
+    v_prev, i_prev, v_now, i_now = (
+        phase_array(x) for x in (w.v_prev, w.i_prev, w.v_now, w.i_now)
+    )
     return LoopQuantities(
-        v_a=loop_projection(psi, w.v_now),
-        i_a=_loop_current(loop, w.i_now, k),
-        v_a_inc=loop_projection(psi, v_inc),
-        i_a_inc=_loop_current(loop, i_inc, k),
+        v_a=v_now @ psi,
+        i_a=_loop_current(loop, i_now, k),
+        v_a_inc=(v_now - v_prev) @ psi,
+        i_a_inc=_loop_current(loop, i_now - i_prev, k),
         k=k,
     )
 
@@ -121,9 +124,11 @@ def _resistance_numerator(eta: str, w: MeasurementWindow, sigma: Phasor3) -> com
 
 def _energized_loop(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantities:
     lq = loop_quantities(eta, w, line)
-    if abs(lq.i_a) <= config.I_MIN:
+    i_a = np.ravel(lq.i_a)
+    low = np.abs(i_a) <= config.I_MIN
+    if low.any():
         raise UnenergizedLoopError(
-            f"loop {LOOP_FOR_FAULT[eta]} current |{lq.i_a:.3e}| below floor"
+            f"loop {LOOP_FOR_FAULT[eta]} current |{i_a[np.argmax(low)]:.3e}| below floor"
         )
     return lq
 
@@ -137,13 +142,14 @@ def apparent_impedances(
     m_f: np.ndarray,
     r_f: float,
 ) -> np.ndarray:
-    """Apparent impedance of the matched loop at N resistive fault points.
+    """Apparent impedance of the matched loop at N fault points.
 
     ``sigma`` is the (N, 3) stack of remote currents, one row per point
-    (m_t[k], m_f[k]); the window and the loop current are shared.
+    (m_t[k], m_f[k]). The window is shared, or a stacked window with one
+    during-fault row per point. A bolted point (m_f = 0) reads m_t * z1.
     """
     lq = _energized_loop(eta, w, line)
-    phi = incremental(w.i_now, w.i_prev).as_array() + sigma
+    phi = (phase_array(w.i_now) - phase_array(w.i_prev)) + sigma
     num = phi @ fault_voltage_row(eta)
     return m_t * line.z1 + m_f * r_f * num / lq.i_a
 

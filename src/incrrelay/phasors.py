@@ -73,7 +73,11 @@ class Phasor3:
 
 @dataclass(frozen=True)
 class MeasurementWindow:
-    """Relay measurements one cycle apart: (t - p*delta) and t."""
+    """Relay measurements one cycle apart: (t - p*delta) and t.
+
+    Functions that say so also take a stacked window, whose fields are
+    phase arrays: (3,) for one value and (N, 3) for one row per fault point.
+    """
 
     v_prev: Phasor3
     i_prev: Phasor3
@@ -84,6 +88,11 @@ class MeasurementWindow:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"cycle offset p must be >= 1, got {self.p}")
+
+
+def phase_array(x) -> np.ndarray:
+    """Phase values of a Phasor3 or of a (..., 3) phase array, as an array."""
+    return x.as_array() if isinstance(x, Phasor3) else np.asarray(x)
 
 
 def incremental(now: Phasor3, prev: Phasor3) -> Phasor3:

@@ -2,24 +2,31 @@
 
 Solves the prefault and during-fault nodal equations directly, with SG
 voltages and IBR source currents held at their prefault values. The nodal
-system here is assembled by its own naive element loop, independent of the
-admittance module, so agreement between the two paths is evidence rather
-than tautology.
+system here is assembled by its own element stamping, independent of the
+incremental module's terminal reduction, so agreement between the two paths
+is evidence rather than tautology.
+
+A call simulates N fault points at once. Only the protected line's split
+and the fault stamp differ between them, so the rest of the network is
+stamped once, the healthy prefault state is solved once (it does not depend
+on the fault location), and the N faulted systems are one stacked
+extended-precision solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import config
 from .admittance import FAULT_BRANCHES, FaultSpec
+from .incremental import OmegaCache
 from .linalg import refined_solve
-from .incremental import build_omega_map, remote_current
-from .loops import LOOP_FOR_FAULT, apparent_impedance, loop_quantities
-from .network import BusRole, Line, NetworkModel
-from .phasors import MeasurementWindow, Phasor3, incremental
+from .loops import apparent_impedances, loop_quantities
+from .network import BusRole, NetworkModel
+from .phasors import MeasurementWindow, Phasor3
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,59 @@ class ScenarioResult:
 
 
 @dataclass(frozen=True)
+class ScenarioStack:
+    """N simulated scenarios of one network, sharing one prefault state.
+
+    Row k of every stacked array belongs to the k-th fault simulated. Node
+    rows follow ``nodes``: the virtual fault bus "F" first, then every bus;
+    SG rows hold the fixed source voltages.
+    """
+
+    nodes: tuple[str, ...]
+    terminals: tuple[str, str]  # (local, remote) bus ids
+    sg_ids: tuple[str, ...]
+    v_pre: np.ndarray  # (K, 3) healthy node voltages; the F row is zero
+    v_f_pre: np.ndarray  # (N, 3) healthy voltage at each fault location
+    i_sg_pre: np.ndarray  # (S, 3) healthy SG terminal currents
+    i_line_pre: np.ndarray  # (2, 3) currents into the protected line at (L, R)
+    v_post: np.ndarray  # (N, K, 3)
+    i_sg_post: np.ndarray  # (N, S, 3)
+    i_line_post: np.ndarray  # (N, 2, 3)
+    kcl_residual_prefault: float
+    kcl_residual_fault: np.ndarray  # (N,)
+
+    def scenario(self, k: int) -> ScenarioResult:
+        """The k-th scenario as phasor values."""
+        v_pre = self.v_pre.copy()
+        v_pre[0] = self.v_f_pre[k]
+        pre = self._state(v_pre, self.i_sg_pre)
+        post = self._state(self.v_post[k], self.i_sg_post[k])
+        i_pre = [Phasor3.from_array(i) for i in self.i_line_pre]
+        i_post = [Phasor3.from_array(i) for i in self.i_line_post[k]]
+        windows = [
+            MeasurementWindow(
+                v_prev=pre.v(bus_id), i_prev=i_prev, v_now=post.v(bus_id), i_now=i_now
+            )
+            for bus_id, i_prev, i_now in zip(self.terminals, i_pre, i_post)
+        ]
+        return ScenarioResult(
+            prefault=pre,
+            fault=post,
+            window=windows[0],
+            remote_window=windows[1],
+            fault_current=i_post[0] + i_post[1],
+            kcl_residual_prefault=self.kcl_residual_prefault,
+            kcl_residual_fault=float(self.kcl_residual_fault[k]),
+        )
+
+    def _state(self, v: np.ndarray, i_sg: np.ndarray) -> NetworkState:
+        return NetworkState(
+            voltages={node: Phasor3.from_array(x) for node, x in zip(self.nodes, v)},
+            sg_currents={bus_id: Phasor3.from_array(i) for bus_id, i in zip(self.sg_ids, i_sg)},
+        )
+
+
+@dataclass(frozen=True)
 class VerificationReport:
     """Residuals comparing the incremental pipeline against direct solves."""
 
@@ -67,14 +127,47 @@ def _segment_zabc(z1: complex, z0: complex) -> np.ndarray:
     return out
 
 
-def _naive_y(
-    net: NetworkModel, m_t: float, split: bool = True
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Element-by-element series stamping with the fault bus at offset 0.
+def _unit_stamp(eta: str) -> np.ndarray:
+    """Conductance pattern of the fault resistors, one siemens per branch."""
+    grounds, pairs = FAULT_BRANCHES[eta]
+    s = np.zeros((3, 3))
+    for ph in grounds:
+        s[ph, ph] += 1.0
+    for x, y in pairs:
+        s[x, x] += 1.0
+        s[y, y] += 1.0
+        s[x, y] -= 1.0
+        s[y, x] -= 1.0
+    return s
 
-    With ``split=False`` the protected line is stamped whole and the fault
-    bus block is pinned to zero; used for the prefault solve, where keeping
-    the huge clamped-segment admittances out of the matrix matters.
+
+_UNIT_STAMPS = {eta: _unit_stamp(eta) for eta in FAULT_BRANCHES}
+_NO_STAMP = np.zeros((3, 3))
+
+
+def _stamp(y: np.ndarray, oi: int, oj: int, yblk: np.ndarray):
+    """Series stamp of one 3x3 branch admittance between two block offsets.
+
+    ``y`` and ``yblk`` may carry the same leading stack axes.
+    """
+    i, j = slice(oi, oi + 3), slice(oj, oj + 3)
+    y[..., i, i] += yblk
+    y[..., j, j] += yblk
+    y[..., i, j] -= yblk
+    y[..., j, i] -= yblk
+
+
+def _base_system(
+    net: NetworkModel,
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Nodal system of everything except the protected line.
+
+    Block offsets put the fault bus F at 0, then junctions, IBRs and SGs.
+    Every other line is a series stamp; junction shunts enter as +Y, IBR
+    Norton admittances as -Y with their source currents on the right; an
+    SG's voltage is known, so its columns move to the right-hand side and
+    its slot holds the unknown terminal current. The protected line never
+    touches an SG bus, so its segments can be stamped afterwards.
 
     Stamps accumulate in extended precision: at a clamped location the
     segment admittance is ~1/eps times the rest, and a double sum would
@@ -89,29 +182,24 @@ def _naive_y(
                 offsets[bus.id] = nxt
                 nxt += 3
     y = np.zeros((nxt, nxt), dtype=np.clongdouble)
-
-    segments: list[tuple[str, str, np.ndarray]] = []
     for line in net.lines:
-        zabc = _segment_zabc(line.z1, line.z0)
-        if line.id == net.protected_line and split:
-            segments.append((net.local_bus, "F", m_t * zabc))
-            segments.append(("F", net.remote_bus, (1.0 - m_t) * zabc))
-        elif line.id == net.protected_line:
-            segments.append((net.local_bus, net.remote_bus, zabc))
-        else:
-            segments.append((line.from_bus, line.to_bus, zabc))
-    for end_i, end_j, zseg in segments:
-        yblk = np.linalg.inv(zseg)
-        oi, oj = offsets[end_i], offsets[end_j]
-        for r in range(3):
-            for c in range(3):
-                y[oi + r, oi + c] += yblk[r, c]
-                y[oj + r, oj + c] += yblk[r, c]
-                y[oi + r, oj + c] -= yblk[r, c]
-                y[oj + r, oi + c] -= yblk[r, c]
-    if not split:
-        y[0:3, 0:3] = np.eye(3)
-    return y, offsets
+        if line.id != net.protected_line:
+            yblk = np.linalg.inv(_segment_zabc(line.z1, line.z0))
+            _stamp(y, offsets[line.from_bus], offsets[line.to_bus], yblk)
+
+    b = np.zeros(nxt, dtype=np.clongdouble)
+    for bus in net.buses:
+        blk = slice(offsets[bus.id], offsets[bus.id] + 3)
+        if bus.role is BusRole.JUNCTION:
+            y[blk, blk] += bus.shunt()
+        elif bus.role is BusRole.IBR:
+            y[blk, blk] -= bus.shunt()
+            b[blk] += bus.ibr_current.as_array()
+        else:  # SG: voltage known, terminal current unknown
+            b -= y[:, blk] @ bus.sg_voltage.as_array()
+            y[:, blk] = 0.0
+            y[blk, blk] = -np.eye(3)
+    return y, b, offsets
 
 
 def _bolted_constraints(eta: str) -> list[np.ndarray]:
@@ -159,189 +247,254 @@ def _bolted_constraints(eta: str) -> list[np.ndarray]:
     return rows
 
 
-def _solve_state(
-    net: NetworkModel,
-    y: np.ndarray,
-    offsets: dict[str, int],
-    fault: FaultSpec | None,
-) -> tuple[NetworkState, float]:
-    """Solve one nodal system; ``fault=None`` means the unfaulted network."""
-    size = y.shape[0]
-    a = y.copy()
-    b = np.zeros(size, dtype=np.clongdouble)
-
-    for bus in net.buses:
-        off = offsets[bus.id]
-        blk = slice(off, off + 3)
-        if bus.role is BusRole.JUNCTION:
-            a[blk, blk] += bus.shunt()
-        elif bus.role is BusRole.IBR:
-            a[blk, blk] -= bus.shunt()
-            b[blk] += bus.ibr_current.as_array()
-        else:  # SG: voltage known, terminal current unknown
-            v_s = bus.sg_voltage.as_array()
-            b -= a[:, blk] @ v_s
-            a[:, blk] = 0.0
-            a[blk, blk] = -np.eye(3)
-
-    n_con = 0
-    if fault is not None:
-        if fault.m_f > 0.0:
-            g = 1.0 / (fault.m_f * fault.r_f)
-            grounds, pairs = FAULT_BRANCHES[fault.eta]
-            for ph in grounds:
-                a[ph, ph] += g
-            for x, yy in pairs:
-                a[x, x] += g
-                a[yy, yy] += g
-                a[x, yy] -= g
-                a[yy, x] -= g
-        else:
-            rows = _bolted_constraints(fault.eta)
-            n_con = len(rows)
-            aug = np.zeros((size + n_con, size + n_con), dtype=a.dtype)
-            aug[:size, :size] = a
-            for k, row in enumerate(rows):
-                aug[size + k, 0:3] = row
-                aug[0:3, size + k] = row
-            b = np.concatenate([b, np.zeros(n_con, dtype=b.dtype)])
-            a = aug
-
-    x = refined_solve(a, b)
-    residual = float(np.linalg.norm(a @ x - b) / max(np.linalg.norm(b), 1.0))
-    x = x[: size] if n_con else x
-
-    voltages: dict[str, Phasor3] = {"F": Phasor3.from_array(x[0:3])}
-    sg_currents: dict[str, Phasor3] = {}
-    for bus in net.buses:
-        off = offsets[bus.id]
-        if bus.role is BusRole.SG:
-            voltages[bus.id] = bus.sg_voltage
-            sg_currents[bus.id] = Phasor3.from_array(x[off : off + 3])
-        else:
-            voltages[bus.id] = Phasor3.from_array(x[off : off + 3])
-    return NetworkState(voltages=voltages, sg_currents=sg_currents), residual
+_BOLTED_ROWS = {eta: np.array(_bolted_constraints(eta)) for eta in FAULT_BRANCHES}
+_NO_CONSTRAINTS = np.zeros((0, 3))
 
 
-def _terminal_line_current(
-    net: NetworkModel, state: NetworkState, bus_id: str
-) -> Phasor3:
-    """Current flowing into the protected line at one of its terminal buses.
+def _healthy_solve(
+    y0: np.ndarray, b0: np.ndarray, local: int, remote: int, y_line: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prefault state: the protected line whole, the fault-bus block pinned."""
+    a = y0.copy()
+    _stamp(a, local, remote, y_line)
+    a[0:3, 0:3] = np.eye(3)
+    return _solve(a, b0)
 
-    Recovered through KCL at the terminal instead of dividing the tiny
-    voltage drop across a clamped segment, which cancels catastrophically
-    for fault locations near the terminals.
+
+def _constraints(fault: FaultSpec | None) -> np.ndarray:
+    """(c, 3) constraint rows on the fault-bus voltage; c = 0 unless bolted."""
+    if fault is None or fault.m_f > 0.0:
+        return _NO_CONSTRAINTS
+    return _BOLTED_ROWS[fault.eta]
+
+
+def _faulted_systems(
+    y0: np.ndarray,
+    b0: np.ndarray,
+    local: int,
+    remote: int,
+    y_line: np.ndarray,
+    faults: list[FaultSpec | None],
+    m_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n + c, n + c) during-fault systems and their right-hand sides.
+
+    Per point only the two protected-line segments, 1/m Y_l between the
+    local bus and F and 1/(1-m) Y_l between F and the remote bus, and the
+    fault conductances are added to the base system. A bolted point
+    (m_f = 0) has no conductance; its fault-bus voltage is constrained
+    instead, with c Lagrange multipliers. Every point of the stack has the
+    same number c of constraints.
     """
-    bus = net.bus(bus_id)
-    v = state.v(bus_id).as_array()
-    total = np.zeros(3, dtype=complex)
-    if bus.role is BusRole.JUNCTION:
-        total -= bus.shunt() @ v
-    elif bus.role is BusRole.IBR:
-        total += bus.ibr_current.as_array() + bus.shunt() @ v
-    else:
-        raise ValueError(f"bus {bus_id!r} is an SG; not a relay terminal")
-    for line in net.lines:
-        if line.id == net.protected_line:
-            continue
-        if line.from_bus == bus_id:
-            other = line.to_bus
-        elif line.to_bus == bus_id:
-            other = line.from_bus
+    n = y0.shape[0]
+    con = np.array([_constraints(f) for f in faults])
+    c = con.shape[1]
+    a = np.zeros((len(faults), n + c, n + c), dtype=np.clongdouble)
+    a[:, :n, :n] = y0
+    a[:, n:, 0:3] = con
+    a[:, 0:3, n:] = con.transpose(0, 2, 1)
+    b = np.zeros((len(faults), n + c), dtype=np.clongdouble)
+    b[:, :n] = b0
+
+    _stamp(a, local, 0, (1.0 / m_t)[:, None, None] * y_line)
+    _stamp(a, 0, remote, (1.0 / (1.0 - m_t))[:, None, None] * y_line)
+    a[:, 0:3, 0:3] += [
+        (1.0 / (f.m_f * f.r_f)) * _UNIT_STAMPS[f.eta]
+        if f is not None and f.m_f > 0.0
+        else _NO_STAMP
+        for f in faults
+    ]
+    return a, b
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis, in double precision."""
+    return np.sqrt((np.abs(v) ** 2).sum(axis=-1)).astype(float)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refined solve of one system or a stack, with relative KCL residuals."""
+    x = refined_solve(a, b[..., None])
+    r = (a @ x)[..., 0] - b
+    return x[..., 0], _norms(r) / np.maximum(_norms(b), 1.0)
+
+
+def _line_currents(
+    net: NetworkModel, offsets: dict[str, int], v: np.ndarray
+) -> np.ndarray:
+    """(..., 2, 3) currents into the protected line at its (local, remote) buses.
+
+    ``v`` holds node voltages (..., K, 3) in block order. The currents are
+    recovered through KCL at each terminal instead of dividing the tiny
+    voltage drop across a clamped segment, which cancels catastrophically
+    for fault locations near the terminals. Every branch current of a
+    stack is one solve with (3, N) right-hand sides.
+    """
+    out = []
+    for bus_id in (net.local_bus, net.remote_bus):
+        bus = net.bus(bus_id)
+        v_t = v[..., offsets[bus_id] // 3, :]
+        if bus.role is BusRole.JUNCTION:
+            total = -(v_t @ bus.shunt().T)
+        elif bus.role is BusRole.IBR:
+            total = bus.ibr_current.as_array() + v_t @ bus.shunt().T
         else:
-            continue
-        zabc = _segment_zabc(line.z1, line.z0)
-        total -= refined_solve(zabc, v - state.v(other).as_array())
-    return Phasor3.from_array(total)
+            raise ValueError(f"bus {bus_id!r} is an SG; not a relay terminal")
+        for line in net.lines:
+            if line.id == net.protected_line:
+                continue
+            if line.from_bus == bus_id:
+                other = line.to_bus
+            elif line.to_bus == bus_id:
+                other = line.from_bus
+            else:
+                continue
+            dv = (v_t - v[..., offsets[other] // 3, :]).reshape(-1, 3)
+            zabc = _segment_zabc(line.z1, line.z0)
+            total = total - refined_solve(zabc, dv.T).T.reshape(v_t.shape)
+        out.append(total)
+    return np.stack(out, axis=-2)
 
 
-def simulate(net: NetworkModel, fault: FaultSpec | None) -> ScenarioResult:
-    """Direct prefault and during-fault solve; ``fault=None`` is a healthy pair."""
-    m_t = fault.m_t if fault is not None else 0.5
+def simulate_many(
+    net: NetworkModel, faults: Sequence[FaultSpec | None]
+) -> ScenarioStack:
+    """Direct prefault and during-fault solves of N fault points.
+
+    ``None`` is a healthy pair: the line split at m_t = 0.5 and no fault.
+    """
+    faults = tuple(faults)
+    m_t = np.array([0.5 if f is None else f.m_t for f in faults], dtype=float)
     e = config.eps()
-    if not e <= m_t <= 1.0 - e:
-        raise ValueError(f"m_t={m_t} outside the clamped range [{e}, {1.0 - e}]")
-    y, offsets = _naive_y(net, m_t)
-    y_pre, _ = _naive_y(net, m_t, split=False)
-    pre, res_pre = _solve_state(net, y_pre, offsets, None)
-    post, res_post = _solve_state(net, y, offsets, fault)
+    outside = ~((m_t >= e) & (m_t <= 1.0 - e))  # NaN is outside too
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"m_t={m_t[k]} outside the clamped range [{e}, {1.0 - e}]")
+    y0, b0, offsets = _base_system(net)
+    nodes = tuple(sorted(offsets, key=offsets.get))
+    sg = [offsets[b.id] // 3 for b in net.buses_with_role(BusRole.SG)]
+    sg_v = np.array(
+        [b.sg_voltage.as_array() for b in net.buses_with_role(BusRole.SG)]
+    ).reshape(-1, 3)
 
-    i_l_pre = _terminal_line_current(net, pre, net.local_bus)
-    i_r_pre = _terminal_line_current(net, pre, net.remote_bus)
-    # prefault fault-bus voltage, interpolated along the (healthy) line
+    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # SG slots hold the terminal currents; their voltages are the sources'
+        v = x.reshape(*x.shape[:-1], len(nodes), 3)
+        i_sg = v[..., sg, :].copy()
+        v[..., sg, :] = sg_v
+        return v, i_sg
+
     zabc = _segment_zabc(net.protected.z1, net.protected.z0)
-    v_f_pre = pre.v(net.local_bus).as_array() - m_t * (zabc @ i_l_pre.as_array())
-    pre = NetworkState(
-        voltages={**pre.voltages, "F": Phasor3.from_array(v_f_pre)},
-        sg_currents=pre.sg_currents,
-    )
-    i_l_post = _terminal_line_current(net, post, net.local_bus)
-    i_r_post = _terminal_line_current(net, post, net.remote_bus)
-
-    window = MeasurementWindow(
-        v_prev=pre.v(net.local_bus),
-        i_prev=i_l_pre,
-        v_now=post.v(net.local_bus),
-        i_now=i_l_post,
-    )
-    remote_window = MeasurementWindow(
-        v_prev=pre.v(net.remote_bus),
-        i_prev=i_r_pre,
-        v_now=post.v(net.remote_bus),
-        i_now=i_r_post,
-    )
-    return ScenarioResult(
-        prefault=pre,
-        fault=post,
-        window=window,
-        remote_window=remote_window,
-        fault_current=i_l_post + i_r_post,
-        kcl_residual_prefault=res_pre,
+    y_line = np.linalg.inv(zabc)
+    o_l, o_r = offsets[net.local_bus], offsets[net.remote_bus]
+    x_pre, res_pre = _healthy_solve(y0, b0, o_l, o_r, y_line)
+    # one stacked solve per system size, so that no point's solution depends
+    # on the other points of the call
+    n = y0.shape[0]
+    x_post = np.empty((len(faults), n), dtype=complex)
+    res_post = np.empty(len(faults))
+    sizes = [len(_constraints(f)) for f in faults]
+    for c in sorted(set(sizes)):
+        idx = [k for k, size in enumerate(sizes) if size == c]
+        a, b = _faulted_systems(
+            y0, b0, o_l, o_r, y_line, [faults[k] for k in idx], m_t[idx]
+        )
+        x, res = _solve(a, b)
+        x_post[idx], res_post[idx] = x[:, :n], res
+    # row 0 is the healthy state, rows 1.. the faulted ones
+    v, i_sg = split(np.vstack([x_pre, x_post]))
+    i_line = _line_currents(net, offsets, v)
+    # prefault fault-bus voltage, interpolated along the (healthy) line
+    v_f_pre = v[0, o_l // 3] - m_t[:, None] * (zabc @ i_line[0, 0])
+    return ScenarioStack(
+        nodes=nodes,
+        terminals=(net.local_bus, net.remote_bus),
+        sg_ids=tuple(b.id for b in net.buses_with_role(BusRole.SG)),
+        v_pre=v[0],
+        v_f_pre=v_f_pre,
+        i_sg_pre=i_sg[0],
+        i_line_pre=i_line[0],
+        v_post=v[1:],
+        i_sg_post=i_sg[1:],
+        i_line_post=i_line[1:],
+        kcl_residual_prefault=float(res_pre),
         kcl_residual_fault=res_post,
     )
 
 
-def verify_pipeline(net: NetworkModel, fault: FaultSpec) -> VerificationReport:
-    """Cross-check the incremental pipeline against the direct solves."""
-    if fault.m_f < 0.0:
-        raise ValueError("m_f must be non-negative")
-    sim = simulate(net, fault)
+def simulate(net: NetworkModel, fault: FaultSpec | None) -> ScenarioResult:
+    """Direct prefault and during-fault solve; ``fault=None`` is a healthy pair."""
+    return simulate_many(net, [fault]).scenario(0)
+
+
+def verify_grid(
+    net: NetworkModel,
+    faults: Sequence[FaultSpec],
+    cache: OmegaCache | None = None,
+) -> list[VerificationReport]:
+    """Cross-check the incremental pipeline against the direct solves.
+
+    ``faults`` are N points of one fault type, checked as arrays: one
+    simulator stack, one Omega stack from the cache's terminal reduction,
+    and, since every point shares the prefault window, sigma as one product.
+    """
+    faults = tuple(faults)
+    if not faults:
+        return []
+    eta = faults[0].eta
+    if any(f.eta != eta for f in faults):
+        raise ValueError("verify_grid takes the points of one fault type")
+    cache = cache or OmegaCache(net)
     line = net.protected
+    m_t = np.array([f.m_t for f in faults])
+    m_f = np.array([f.m_f for f in faults])
+    r_f = np.array([f.r_f for f in faults])
+    sim = simulate_many(net, faults)
 
-    sigma_direct = incremental(sim.remote_window.i_now, sim.remote_window.i_prev)
-    i_f_pre = sim.window.i_prev + sim.remote_window.i_prev
-    i_f_pre_norm = i_f_pre.norm()
-    balance = i_f_pre_norm / max(sim.window.i_prev.norm(), 1e-300)
+    local = sim.nodes.index(net.local_bus)
+    i_prev, r_prev = sim.i_line_pre
+    i_now, r_now = sim.i_line_post[:, 0], sim.i_line_post[:, 1]
+    sigma_direct = r_now - r_prev
+    i_f_pre_norm = float(np.linalg.norm(i_prev + r_prev))
+    balance = i_f_pre_norm / max(float(np.linalg.norm(i_prev)), 1e-300)
+    sg = [sim.nodes.index(bus_id) for bus_id in sim.sg_ids]
+    sg_inc = _norms(sim.v_post[:, sg] - sim.v_pre[sg]).max(axis=1, initial=0.0)
 
-    sg_inc = 0.0
-    for bus in net.buses_with_role(BusRole.SG):
-        sg_inc = max(
-            sg_inc,
-            incremental(sim.fault.v(bus.id), sim.prefault.v(bus.id)).norm(),
-        )
-
-    if fault.m_f > 0.0:
-        rc_map = build_omega_map(net, fault)
-        sigma = remote_current(rc_map, sim.window)
-        sigma_err = (sigma - sigma_direct).norm() / max(
-            sigma_direct.norm(), 1e-300
-        )
-        z_formula = apparent_impedance(fault.eta, sim.window, line, sigma, fault)
-    else:
-        sigma_err = 0.0
-        z_formula = apparent_impedance(fault.eta, sim.window, line, None, fault)
-
-    lq = loop_quantities(fault.eta, sim.window, line)
-    if abs(lq.i_a) <= config.I_MIN:
-        raise ValueError(f"loop not energized by fault {fault}")
-    z_measured = lq.v_a / lq.i_a
-    z_err = abs(z_formula - z_measured) / max(abs(z_measured), 1e-300)
-
-    return VerificationReport(
-        fault=fault,
-        sigma_rel_err=sigma_err,
-        z_a_rel_err=z_err,
-        sg_voltage_inc_norm=sg_inc,
-        prefault_fault_current_norm=i_f_pre_norm,
-        prefault_balance_residual=balance,
+    window = MeasurementWindow(
+        v_prev=sim.v_pre[local], i_prev=i_prev, v_now=sim.v_post[:, local], i_now=i_now
     )
+    lq = loop_quantities(eta, window, line)
+    low = np.abs(lq.i_a) <= config.I_MIN
+    if low.any():
+        raise ValueError(f"loop not energized by fault {faults[int(np.argmax(low))]}")
+    z_measured = lq.v_a / lq.i_a
+
+    # bolted points keep sigma = 0: their formula reads m_t z1 exactly
+    sigma = np.zeros_like(sigma_direct)
+    sigma_err = np.zeros(len(faults))
+    res = m_f > 0.0
+    if res.any():
+        omegas = cache.omegas(eta, m_t[res], m_f[res], r_f[res])
+        sigma[res] = omegas @ np.concatenate([sim.v_pre[local], i_prev])
+        sigma_err[res] = _norms(sigma[res] - sigma_direct[res]) / np.maximum(
+            _norms(sigma_direct[res]), 1e-300
+        )
+    z_formula = apparent_impedances(eta, window, line, sigma, m_t, m_f, r_f)
+    z_err = np.abs(z_formula - z_measured) / np.maximum(np.abs(z_measured), 1e-300)
+
+    return [
+        VerificationReport(
+            fault=f,
+            sigma_rel_err=float(sigma_err[k]),
+            z_a_rel_err=float(z_err[k]),
+            sg_voltage_inc_norm=float(sg_inc[k]),
+            prefault_fault_current_norm=i_f_pre_norm,
+            prefault_balance_residual=balance,
+        )
+        for k, f in enumerate(faults)
+    ]
+
+
+def verify_pipeline(net: NetworkModel, fault: FaultSpec) -> VerificationReport:
+    """Cross-check the incremental pipeline against the direct solves at one point."""
+    return verify_grid(net, [fault])[0]

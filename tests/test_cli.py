@@ -182,23 +182,61 @@ def test_verify_fails_when_residuals_exceed_thresholds(monkeypatch, capsys):
     import incrrelay.cli as cli
     from incrrelay.simulator import VerificationReport
 
-    real_verify = cli.verify_pipeline
+    real_verify = cli.verify_grid
 
-    def tampered(net, fault):
-        rep = real_verify(net, fault)
-        return VerificationReport(
-            fault=rep.fault,
-            sigma_rel_err=rep.sigma_rel_err + 1e-3,
-            z_a_rel_err=rep.z_a_rel_err,
-            sg_voltage_inc_norm=rep.sg_voltage_inc_norm,
-            prefault_fault_current_norm=rep.prefault_fault_current_norm,
-            prefault_balance_residual=rep.prefault_balance_residual,
-        )
+    def tampered(net, faults, cache):
+        return [
+            VerificationReport(
+                fault=rep.fault,
+                sigma_rel_err=rep.sigma_rel_err + 1e-3,
+                z_a_rel_err=rep.z_a_rel_err,
+                sg_voltage_inc_norm=rep.sg_voltage_inc_norm,
+                prefault_fault_current_norm=rep.prefault_fault_current_norm,
+                prefault_balance_residual=rep.prefault_balance_residual,
+            )
+            for rep in real_verify(net, faults, cache)
+        ]
 
-    monkeypatch.setattr(cli, "verify_pipeline", tampered)
+    monkeypatch.setattr(cli, "verify_grid", tampered)
     rc = main(["verify", "--network", NET, "--fault", "ag", "--grid", "dense:2x2"])
     assert rc == EXIT_RESIDUAL
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_commands_default_to_the_bundled_network(tmp_path, capsys):
+    assert main(["verify", "--fault", "ag", "--grid", "dense:3x3"]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    out = tmp_path / "ag"
+    assert main(["characteristic", "--fault", "ag", "--out", str(out)]) == EXIT_OK
+    assert len(json.loads((tmp_path / "ag.json").read_text())["cloud"]) == 22
+
+
+def test_json_artifact_content(net):
+    # the writer is compact; the document's keys and values are what matter
+    from incrrelay import FaultSpec, OmegaCache, exact_sampled, grid_paper22, parallelogram, simulate
+    from incrrelay.characteristics import hull_of_cloud
+    from incrrelay.cli import characteristic_json
+
+    window = simulate(net, FaultSpec("bc", 0.5, 1.0, net.r_fault_max)).window
+    cache = OmegaCache(net)
+    cloud = exact_sampled(net, "bc", window, grid_paper22(), cache)
+    hull = hull_of_cloud(cloud)
+    para = parallelogram(net, "bc", window, (0.5, 1.0), cache)
+    z1 = net.protected.z1
+    text = characteristic_json("bc", cloud, hull, para, z1)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    pairs = lambda vs: [[v.real, v.imag] for v in vs]
+    assert json.loads(text) == {
+        "eta": "bc",
+        "line_impedance": [[0.0, 0.0], [z1.real, z1.imag]],
+        "cloud": [
+            {"m_t": m_t, "m_f": m_f, "z": [z.real, z.imag]}
+            for (m_t, m_f), z in zip(cloud.meta["grid"], cloud.samples)
+        ],
+        "hull": pairs(hull.vertices),
+        "parallelogram": pairs(para.vertices),
+        "m_hat": [0.5, 1.0],
+    }
 
 
 def test_simulate_emits_yaml_scenario(tmp_path):

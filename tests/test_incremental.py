@@ -18,10 +18,10 @@ from incrrelay import (
     remote_current,
     simulate,
 )
-from incrrelay.admittance import assemble_y
-from incrrelay.incremental import selector
 from incrrelay.network import phase_impedance
 from incrrelay.phasors import incremental
+
+from dense_oracle import assemble_y, selector
 
 
 def test_selector_extracts_single_block(net):

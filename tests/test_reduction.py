@@ -12,19 +12,13 @@ import numpy as np
 import pytest
 
 from incrrelay import FAULT_TYPES, FaultSpec, fourbus_path, parse_network, verify_pipeline
-from incrrelay.admittance import (
-    FaultRangeError,
-    SingularSystemError,
-    assemble_incremental,
-    assemble_y,
-    fault_stamp,
-    solve_omega,
-)
+from incrrelay.admittance import FaultRangeError, SingularSystemError, fault_stamp
 from incrrelay.cli import BALANCE_THRESHOLD, SIGMA_THRESHOLD, Z_A_THRESHOLD
 from incrrelay.config import DEFAULT_EPS
-from incrrelay.incremental import OmegaCache, _remote_kcl_rows, build_omega_map
+from incrrelay.incremental import OmegaCache, build_omega_map
 from incrrelay.network import BusRole, phase_impedance
 
+from dense_oracle import assemble_incremental, assemble_y, remote_kcl_rows, solve_omega
 from netgen import random_network
 
 # both clamp ends and the interior, each with its own resistance fraction
@@ -48,7 +42,7 @@ def dense_omega(net, fault: FaultSpec) -> np.ndarray:
     stamp = fault_stamp(fault.eta, fault.m_f, fault.r_f)
     omega = solve_omega(assemble_incremental(net, faulted, stamp, fault.m_t))
     window_map = np.hstack([np.eye(3), -fault.m_t * phase_impedance(net.protected)])
-    return _remote_kcl_rows(net, faulted.offsets) @ omega @ window_map
+    return remote_kcl_rows(net, faulted.offsets) @ omega @ window_map
 
 
 def test_generated_networks_cover_the_cases():
