@@ -128,7 +128,9 @@ def omega_stack(
     p = np.linalg.solve(z_line, z_rl - z_ll)
     q = np.linalg.solve(z_line, z_rr - z_lr)
     k_r = m * np.eye(3) - (1.0 - m) * p - m * q
-    g = k_r @ np.linalg.solve(a, s)
+    # s gets a's stack axis: numpy 1.x reads a right-hand side with one axis
+    # fewer than the matrix as a stack of vectors
+    g = k_r @ np.linalg.solve(a, np.broadcast_to(s, a.shape))
     omega = np.empty((len(m_t), 3, 6), dtype=complex)
     omega[:, :, 0:3] = g
     omega[:, :, 3:6] = -m * (g @ z_line)

@@ -19,16 +19,21 @@ def refined_solve(a: np.ndarray, b: np.ndarray, iters: int = 2) -> np.ndarray:
 
     ``a`` may be a stack (..., n, n); ``b`` is then (..., n, k), with an
     explicit trailing axis even for one right-hand side, since numpy 1.x and
-    2.x read a stacked (..., n) ``b`` differently. A 1-D ``b`` is one vector.
+    2.x read a stacked (..., n) ``b`` differently. A 1-D ``b`` is one vector,
+    shared by every system of a stack.
     """
     vector = np.ndim(b) == 1
     b_hi = np.asarray(b, dtype=np.clongdouble)
     if vector:
         b_hi = b_hi[:, None]
     a_lo = np.asarray(a, dtype=complex)
+    # b carries a's stack axes too: numpy 1.x reads a right-hand side with
+    # one axis fewer than the matrix as a stack of vectors
+    stack = np.broadcast_shapes(a_lo.shape[:-2], b_hi.shape[:-2])
+    b_hi = np.broadcast_to(b_hi, stack + b_hi.shape[-2:])
     x = np.linalg.solve(a_lo, b_hi.astype(complex))
     a_hi = np.asarray(a, dtype=np.clongdouble)
     for _ in range(iters):
         r = b_hi - a_hi @ x.astype(np.clongdouble)
         x = x + np.linalg.solve(a_lo, r.astype(complex))
-    return x[:, 0] if vector else x
+    return x[..., 0] if vector else x

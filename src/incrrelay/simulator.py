@@ -247,6 +247,12 @@ def _bolted_constraints(eta: str) -> list[np.ndarray]:
     return rows
 
 
+# The faulted systems are solved in blocks of at most this many matrix
+# entries (16 MiB in extended precision), so a call's memory does not grow
+# with the number of points. Each point is solved on its own, so the block
+# size does not change any result.
+_BLOCK_ENTRIES = 1 << 19
+
 _BOLTED_ROWS = {eta: np.array(_bolted_constraints(eta)) for eta in FAULT_BRANCHES}
 _NO_CONSTRAINTS = np.zeros((0, 3))
 
@@ -388,19 +394,22 @@ def simulate_many(
     y_line = np.linalg.inv(zabc)
     o_l, o_r = offsets[net.local_bus], offsets[net.remote_bus]
     x_pre, res_pre = _healthy_solve(y0, b0, o_l, o_r, y_line)
-    # one stacked solve per system size, so that no point's solution depends
-    # on the other points of the call
+    # stacked solves per system size, so that no point's solution depends
+    # on the other points of the call, in blocks of bounded size
     n = y0.shape[0]
     x_post = np.empty((len(faults), n), dtype=complex)
     res_post = np.empty(len(faults))
     sizes = [len(_constraints(f)) for f in faults]
     for c in sorted(set(sizes)):
         idx = [k for k, size in enumerate(sizes) if size == c]
-        a, b = _faulted_systems(
-            y0, b0, o_l, o_r, y_line, [faults[k] for k in idx], m_t[idx]
-        )
-        x, res = _solve(a, b)
-        x_post[idx], res_post[idx] = x[:, :n], res
+        step = max(1, _BLOCK_ENTRIES // (n + c) ** 2)
+        for start in range(0, len(idx), step):
+            blk = idx[start : start + step]
+            a, b = _faulted_systems(
+                y0, b0, o_l, o_r, y_line, [faults[k] for k in blk], m_t[blk]
+            )
+            x, res = _solve(a, b)
+            x_post[blk], res_post[blk] = x[:, :n], res
     # row 0 is the healthy state, rows 1.. the faulted ones
     v, i_sg = split(np.vstack([x_pre, x_post]))
     i_line = _line_currents(net, offsets, v)

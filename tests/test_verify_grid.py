@@ -125,3 +125,82 @@ def test_stacked_refined_solve_matches_single_solves():
     for k in range(4):
         assert np.array_equal(x[k], refined_solve(a[k], b[k]))
         assert np.allclose(a[k] @ x[k], b[k], rtol=0.0, atol=1e-13)
+
+
+def test_blocked_simulator_solves_give_the_same_stack(net, monkeypatch):
+    sim_mod = import_module("incrrelay.simulator")
+    faults = _grid(net, "abg", (0.0,) + M_F) + [None, None]
+    whole = simulate_many(net, faults)
+    reports = verify_grid(net, faults[3:9])
+    sizes = []
+    real_systems = sim_mod._faulted_systems
+
+    def counted(*args):
+        a, b = real_systems(*args)
+        sizes.append(a.size)
+        return a, b
+
+    monkeypatch.setattr(sim_mod, "_faulted_systems", counted)
+    # blocks of two 15x15 systems, or of one 17x17 bolted abg system
+    monkeypatch.setattr(sim_mod, "_BLOCK_ENTRIES", 2 * 15**2)
+    blocked = simulate_many(net, faults)
+    assert max(sizes) <= 2 * 15**2
+    assert len(sizes) == 4 + 3  # 8 resistive or healthy points, 3 bolted ones
+    for name in ("v_post", "i_sg_post", "i_line_post", "kcl_residual_fault", "v_f_pre"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+    assert verify_grid(net, faults[3:9]) == reports
+
+
+def _numpy1_solve(real_solve):
+    """np.linalg.solve with numpy 1.x's reading of the right-hand side.
+
+    numpy 1.x takes ``b`` as a stack of vectors when it has one axis fewer
+    than ``a``, and as a stack of matrices otherwise; numpy 2.x takes only a
+    1-D ``b`` as a vector.
+    """
+
+    def solve(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            return real_solve(a, b[..., None])[..., 0]
+        if b.ndim < 2:
+            raise ValueError("solve: b needs at least two axes")
+        return real_solve(a, b)
+
+    return solve
+
+
+def test_results_do_not_depend_on_the_numpy_solve_convention(net, monkeypatch):
+    cache = OmegaCache(net)
+    points = [_grid(net, eta) for eta in FAULT_TYPES]  # six points each
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)) + 4 * np.eye(4)
+    b = rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2))
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = main(["verify", "--fault", "all", "--grid", "dense:4x3"])
+        reports = [verify_grid(net, faults, cache) for faults in points]
+        reports += [[verify_pipeline(net, faults[0])] for faults in points]
+        arrays = [
+            cache.omegas(eta, [0.5] * k, [1.0] * k, net.r_fault_max)
+            for eta in FAULT_TYPES
+            for k in (1, 2, 5)
+        ]
+        arrays += [
+            cache.omega_map(points[0][1]).omega,
+            simulate_many(net, points[4] + [None]).v_post,
+            refined_solve(a, b),
+            refined_solve(a, b[0]),
+            refined_solve(a, b[0, :, 0]),
+        ]
+        return rc, out.getvalue(), reports, arrays
+
+    rc, text, reports, arrays = run()
+    monkeypatch.setattr(np.linalg, "solve", _numpy1_solve(np.linalg.solve))
+    rc1, text1, reports1, arrays1 = run()
+    assert rc == rc1 == 0
+    assert text == text1
+    assert reports == reports1
+    for x, y in zip(arrays, arrays1, strict=True):
+        assert np.array_equal(x, y)
