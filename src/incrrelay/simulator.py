@@ -6,11 +6,11 @@ system here is assembled by its own element stamping, independent of the
 incremental module's terminal reduction, so agreement between the two paths
 is evidence rather than tautology.
 
-A call simulates N fault points at once. Only the protected line's split
-and the fault stamp differ between them, so the rest of the network is
-stamped once, the healthy prefault state is solved once (it does not depend
-on the fault location), and the N faulted systems are one stacked
-extended-precision solve.
+A call simulates N fault points, of any fault types, at once. Only the
+protected line's split and the fault stamp differ between them, so the rest
+of the network is stamped once, the healthy prefault state is solved once
+(it depends on neither the fault location nor the fault type), and the N
+faulted systems are stacked extended-precision solves.
 """
 
 from __future__ import annotations
@@ -141,8 +141,11 @@ def _unit_stamp(eta: str) -> np.ndarray:
     return s
 
 
-_UNIT_STAMPS = {eta: _unit_stamp(eta) for eta in FAULT_BRANCHES}
-_NO_STAMP = np.zeros((3, 3))
+# the unit stamps by fault-type index; the last one, zero, is for healthy
+# and bolted points, which have no fault conductance
+_ETA_INDEX = {eta: k for k, eta in enumerate(FAULT_BRANCHES)}
+_NO_FAULT = len(_ETA_INDEX)
+_STAMP_STACK = np.array([_unit_stamp(eta) for eta in _ETA_INDEX] + [np.zeros((3, 3))])
 
 
 def _stamp(y: np.ndarray, oi: int, oj: int, yblk: np.ndarray):
@@ -248,13 +251,17 @@ def _bolted_constraints(eta: str) -> list[np.ndarray]:
 
 
 # The faulted systems are solved in blocks of at most this many matrix
-# entries (16 MiB in extended precision), so a call's memory does not grow
-# with the number of points. Each point is solved on its own, so the block
-# size does not change any result.
-_BLOCK_ENTRIES = 1 << 19
+# entries (512 KiB in extended precision: 72 systems of the four-bus
+# network, 2 of a 24-bus one), so a call's memory does not grow with the
+# number of points. Each point is solved on its own, so the block size does
+# not change any result.
+_BLOCK_ENTRIES = 1 << 14
 
-_BOLTED_ROWS = {eta: np.array(_bolted_constraints(eta)) for eta in FAULT_BRANCHES}
-_NO_CONSTRAINTS = np.zeros((0, 3))
+# A bolted point's constraint rows and their count, by fault-type index
+# (rows zero-padded to three; no rows without a fault).
+_BOLTED = [_bolted_constraints(eta) for eta in _ETA_INDEX] + [[]]
+_BOLTED_COUNT = np.array([len(rows) for rows in _BOLTED])
+_BOLTED_ROWS = np.array([rows + [np.zeros(3)] * (3 - len(rows)) for rows in _BOLTED])
 
 
 def _healthy_solve(
@@ -267,49 +274,39 @@ def _healthy_solve(
     return _solve(a, b0)
 
 
-def _constraints(fault: FaultSpec | None) -> np.ndarray:
-    """(c, 3) constraint rows on the fault-bus voltage; c = 0 unless bolted."""
-    if fault is None or fault.m_f > 0.0:
-        return _NO_CONSTRAINTS
-    return _BOLTED_ROWS[fault.eta]
-
-
 def _faulted_systems(
     y0: np.ndarray,
     b0: np.ndarray,
     local: int,
     remote: int,
     y_line: np.ndarray,
-    faults: list[FaultSpec | None],
     m_t: np.ndarray,
+    g: np.ndarray,
+    stamp: np.ndarray,
+    con: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, n + c, n + c) during-fault systems and their right-hand sides.
 
     Per point only the two protected-line segments, 1/m Y_l between the
     local bus and F and 1/(1-m) Y_l between F and the remote bus, and the
-    fault conductances are added to the base system. A bolted point
-    (m_f = 0) has no conductance; its fault-bus voltage is constrained
-    instead, with c Lagrange multipliers. Every point of the stack has the
-    same number c of constraints.
+    fault conductances g (N,) times the unit stamps ``_STAMP_STACK[stamp]``
+    are added to the base system. A bolted point (m_f = 0) has no
+    conductance; its fault-bus voltage is constrained instead by its rows of
+    ``con`` (N, c, 3), with c Lagrange multipliers. Every point of the stack
+    has the same number c of constraints.
     """
     n = y0.shape[0]
-    con = np.array([_constraints(f) for f in faults])
     c = con.shape[1]
-    a = np.zeros((len(faults), n + c, n + c), dtype=np.clongdouble)
+    a = np.zeros((len(m_t), n + c, n + c), dtype=np.clongdouble)
     a[:, :n, :n] = y0
     a[:, n:, 0:3] = con
     a[:, 0:3, n:] = con.transpose(0, 2, 1)
-    b = np.zeros((len(faults), n + c), dtype=np.clongdouble)
+    b = np.zeros((len(m_t), n + c), dtype=np.clongdouble)
     b[:, :n] = b0
 
     _stamp(a, local, 0, (1.0 / m_t)[:, None, None] * y_line)
     _stamp(a, 0, remote, (1.0 / (1.0 - m_t))[:, None, None] * y_line)
-    a[:, 0:3, 0:3] += [
-        (1.0 / (f.m_f * f.r_f)) * _UNIT_STAMPS[f.eta]
-        if f is not None and f.m_f > 0.0
-        else _NO_STAMP
-        for f in faults
-    ]
+    a[:, 0:3, 0:3] += g[:, None, None] * _STAMP_STACK[stamp]
     return a, b
 
 
@@ -368,9 +365,21 @@ def simulate_many(
     """Direct prefault and during-fault solves of N fault points.
 
     ``None`` is a healthy pair: the line split at m_t = 0.5 and no fault.
+    The points may be of any mix of fault types.
     """
     faults = tuple(faults)
-    m_t = np.array([0.5 if f is None else f.m_t for f in faults], dtype=float)
+    # per point: location, resistance fraction and ohms, fault-type index
+    cols = np.array(
+        [
+            (0.5, 0.0, 1.0, _NO_FAULT)
+            if f is None
+            else (f.m_t, f.m_f, f.r_f, _ETA_INDEX[f.eta])
+            for f in faults
+        ],
+        dtype=float,
+    ).reshape(-1, 4)
+    m_t, m_f, r_f = cols[:, 0], cols[:, 1], cols[:, 2]
+    kind = cols[:, 3].astype(int)
     e = config.eps()
     outside = ~((m_t >= e) & (m_t <= 1.0 - e))  # NaN is outside too
     if outside.any():
@@ -399,14 +408,19 @@ def simulate_many(
     n = y0.shape[0]
     x_post = np.empty((len(faults), n), dtype=complex)
     res_post = np.empty(len(faults))
-    sizes = [len(_constraints(f)) for f in faults]
-    for c in sorted(set(sizes)):
-        idx = [k for k, size in enumerate(sizes) if size == c]
+    resistive = m_f > 0.0
+    g = np.zeros(len(faults))
+    g[resistive] = 1.0 / (m_f[resistive] * r_f[resistive])
+    stamp = np.where(resistive, kind, _NO_FAULT)
+    sizes = np.where(resistive, 0, _BOLTED_COUNT[kind])
+    for c in sorted(set(sizes.tolist())):
+        idx = [k for k, size in enumerate(sizes.tolist()) if size == c]
         step = max(1, _BLOCK_ENTRIES // (n + c) ** 2)
         for start in range(0, len(idx), step):
             blk = idx[start : start + step]
             a, b = _faulted_systems(
-                y0, b0, o_l, o_r, y_line, [faults[k] for k in blk], m_t[blk]
+                y0, b0, o_l, o_r, y_line,
+                m_t[blk], g[blk], stamp[blk], _BOLTED_ROWS[kind[blk], :c],
             )
             x, res = _solve(a, b)
             x_post[blk], res_post[blk] = x[:, :n], res
@@ -443,21 +457,18 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """Cross-check the incremental pipeline against the direct solves.
 
-    ``faults`` are N points of one fault type, checked as arrays: one
-    simulator stack, one Omega stack from the cache's terminal reduction,
-    and, since every point shares the prefault window, sigma as one product.
+    ``faults`` are N points of any mix of fault types, checked as arrays:
+    one simulator stack for all of them, then per fault type one Omega stack
+    from the cache's terminal reduction and, since every point shares the
+    prefault window, sigma as one product.
     """
     faults = tuple(faults)
     if not faults:
         return []
-    eta = faults[0].eta
-    if any(f.eta != eta for f in faults):
-        raise ValueError("verify_grid takes the points of one fault type")
     cache = cache or OmegaCache(net)
     line = net.protected
-    m_t = np.array([f.m_t for f in faults])
-    m_f = np.array([f.m_f for f in faults])
-    r_f = np.array([f.r_f for f in faults])
+    etas = np.array([f.eta for f in faults])
+    cols = np.array([(f.m_t, f.m_f, f.r_f) for f in faults])
     sim = simulate_many(net, faults)
 
     local = sim.nodes.index(net.local_bus)
@@ -468,28 +479,39 @@ def verify_grid(
     balance = i_f_pre_norm / max(float(np.linalg.norm(i_prev)), 1e-300)
     sg = [sim.nodes.index(bus_id) for bus_id in sim.sg_ids]
     sg_inc = _norms(sim.v_post[:, sg] - sim.v_pre[sg]).max(axis=1, initial=0.0)
+    pre = np.concatenate([sim.v_pre[local], i_prev])
 
-    window = MeasurementWindow(
-        v_prev=sim.v_pre[local], i_prev=i_prev, v_now=sim.v_post[:, local], i_now=i_now
-    )
-    lq = loop_quantities(eta, window, line)
-    low = np.abs(lq.i_a) <= config.I_MIN
-    if low.any():
-        raise ValueError(f"loop not energized by fault {faults[int(np.argmax(low))]}")
-    z_measured = lq.v_a / lq.i_a
-
-    # bolted points keep sigma = 0: their formula reads m_t z1 exactly
-    sigma = np.zeros_like(sigma_direct)
     sigma_err = np.zeros(len(faults))
-    res = m_f > 0.0
-    if res.any():
-        omegas = cache.omegas(eta, m_t[res], m_f[res], r_f[res])
-        sigma[res] = omegas @ np.concatenate([sim.v_pre[local], i_prev])
-        sigma_err[res] = _norms(sigma[res] - sigma_direct[res]) / np.maximum(
-            _norms(sigma_direct[res]), 1e-300
+    z_err = np.empty(len(faults))
+    for eta in dict.fromkeys(etas.tolist()):  # fault types in order of first point
+        sel = np.flatnonzero(etas == eta)
+        m_t, m_f, r_f = cols[sel].T
+        window = MeasurementWindow(
+            v_prev=sim.v_pre[local],
+            i_prev=i_prev,
+            v_now=sim.v_post[sel, local],
+            i_now=i_now[sel],
         )
-    z_formula = apparent_impedances(eta, window, line, sigma, m_t, m_f, r_f)
-    z_err = np.abs(z_formula - z_measured) / np.maximum(np.abs(z_measured), 1e-300)
+        lq = loop_quantities(eta, window, line)
+        low = np.abs(lq.i_a) <= config.I_MIN
+        if low.any():
+            raise ValueError(f"loop not energized by fault {faults[sel[np.argmax(low)]]}")
+        z_measured = lq.v_a / lq.i_a
+
+        # bolted points keep sigma = 0: their formula reads m_t z1 exactly
+        direct = sigma_direct[sel]
+        sigma = np.zeros_like(direct)
+        res = m_f > 0.0
+        if res.any():
+            omegas = cache.omegas(eta, m_t[res], m_f[res], r_f[res])
+            sigma[res] = omegas @ pre
+            sigma_err[sel[res]] = _norms(sigma[res] - direct[res]) / np.maximum(
+                _norms(direct[res]), 1e-300
+            )
+        z_formula = apparent_impedances(eta, window, line, sigma, m_t, m_f, r_f)
+        z_err[sel] = np.abs(z_formula - z_measured) / np.maximum(
+            np.abs(z_measured), 1e-300
+        )
 
     return [
         VerificationReport(

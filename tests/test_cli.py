@@ -4,7 +4,7 @@ import json
 
 import yaml
 
-from incrrelay import contains, fourbus_path
+from incrrelay import FAULT_TYPES, contains, fourbus_path
 from incrrelay.characteristics import Characteristic
 
 from test_characteristics import oracle_hull
@@ -50,6 +50,18 @@ def test_characteristic_multiple_faults_get_suffixes(tmp_path):
     assert rc == EXIT_OK
     assert (tmp_path / "char.ag.json").is_file()
     assert (tmp_path / "char.ab.json").is_file()
+
+
+def test_all_faults_write_the_single_fault_artifacts(tmp_path):
+    # the nominal windows of every fault type come from one simulator stack
+    common = ["characteristic", "--network", NET, "--mhat", "0.37,0.6"]
+    assert main([*common, "--fault", "all", "--out", str(tmp_path / "all")]) == EXIT_OK
+    for eta in FAULT_TYPES:
+        single = tmp_path / eta
+        assert main([*common, "--fault", eta, "--out", str(single)]) == EXIT_OK
+        for fmt in ("csv", "json", "svg"):
+            whole = (tmp_path / f"all.{eta}.{fmt}").read_bytes()
+            assert whole == (tmp_path / f"{eta}.{fmt}").read_bytes(), (eta, fmt)
 
 
 def test_emitted_hull_contains_emitted_cloud(tmp_path):

@@ -1,9 +1,10 @@
 """Stacked verification: the simulator and the pipeline evaluated over a grid.
 
-``verify_grid`` checks N points of one fault type with one simulator stack
-and one Omega stack. Its reports must meet verify's thresholds on the
-bundled and the generated networks, must not depend on the order of the
-points, and each state of a simulator stack must be the single-point one.
+``verify_grid`` checks N points of any mix of fault types with one
+simulator stack and one Omega stack per fault type. Its reports must meet
+verify's thresholds on the bundled and the generated networks, must not
+depend on the order of the points or on the other fault types of a call, and
+each state of a simulator stack must be the single-point one.
 """
 
 import contextlib
@@ -88,33 +89,59 @@ def test_single_point_verify_is_the_grid_row(net):
         assert single.prefault_balance_residual == rep.prefault_balance_residual
 
 
-def test_grid_takes_one_fault_type(net):
-    with pytest.raises(ValueError, match="one fault type"):
-        verify_grid(
-            net,
-            [FaultSpec("ag", 0.5, 1.0, net.r_fault_max), FaultSpec("bg", 0.5, 1.0, net.r_fault_max)],
-        )
+def test_mixed_type_grid_equals_the_per_type_grids(net):
+    cache = OmegaCache(net)
+    per_type = [_grid(net, eta, (0.0,) + M_F) for eta in FAULT_TYPES]
+    expected = [rep for faults in per_type for rep in verify_grid(net, faults, cache)]
+    points = [f for faults in per_type for f in faults]
+    assert verify_grid(net, points, cache) == expected
+    # interleaved types: one stack, reports in the order of the points
+    perm = np.random.default_rng(4).permutation(len(points))
+    mixed = verify_grid(net, [points[k] for k in perm], cache)
+    assert mixed == [expected[k] for k in perm]
     assert verify_grid(net, []) == []
 
 
-def test_verify_solves_prefault_and_reduces_once_per_fault_type(monkeypatch):
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_verify_solves_prefault_and_reduces_once_per_command(monkeypatch):
     sim_mod = import_module("incrrelay.simulator")
     inc_mod = import_module("incrrelay.incremental")
-    prefault, reductions = [], []
-    real_solve, real_reduce = sim_mod._healthy_solve, inc_mod.terminal_impedance
-    monkeypatch.setattr(
-        sim_mod, "_healthy_solve", lambda *a: prefault.append(1) or real_solve(*a)
-    )
-    monkeypatch.setattr(
-        inc_mod, "terminal_impedance", lambda n: reductions.append(1) or real_reduce(n)
-    )
+    calls = {}
+    for name in ("_base_system", "_healthy_solve"):
+        _counting(monkeypatch, sim_mod, name, calls)
+    _counting(monkeypatch, inc_mod, "terminal_impedance", calls)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = main(["verify", "--fault", "all", "--grid", "dense:4x3"])
     assert rc == 0
     assert len(out.getvalue().splitlines()) == 1 + len(FAULT_TYPES) * 4 * 2
-    # the reduction is shared by the whole command
-    assert len(prefault) == len(FAULT_TYPES)
-    assert len(reductions) == 1
+    # the network outside the fault is stamped, solved and reduced once
+    assert calls == {"_base_system": 1, "_healthy_solve": 1, "terminal_impedance": 1}
+
+
+def _verify_stdout(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(["verify", *argv])
+    assert rc == 0
+    return out.getvalue().splitlines()
+
+
+def test_verify_all_prints_the_single_type_rows():
+    whole = _verify_stdout("--fault", "all", "--grid", "dense:5x4")
+    header, rows = whole[0], []
+    for eta in FAULT_TYPES:
+        single = _verify_stdout("--fault", eta, "--grid", "dense:5x4")
+        assert single[0] == header
+        rows += single[1:]
+    assert whole[1:] == rows
 
 
 def test_stacked_refined_solve_matches_single_solves():
@@ -129,9 +156,15 @@ def test_stacked_refined_solve_matches_single_solves():
 
 def test_blocked_simulator_solves_give_the_same_stack(net, monkeypatch):
     sim_mod = import_module("incrrelay.simulator")
-    faults = _grid(net, "abg", (0.0,) + M_F) + [None, None]
+    # a mixed stack: resistive, bolted and healthy points of several types
+    faults = [
+        f for eta in ("abg", "bc", "cg") for f in _grid(net, eta, (0.0,) + M_F)
+    ] + [None, None]
+    order = np.random.default_rng(6).permutation(len(faults))
+    faults = [faults[k] for k in order]
+    resistive = [f for f in faults if f is not None and f.m_f > 0.0]
     whole = simulate_many(net, faults)
-    reports = verify_grid(net, faults[3:9])
+    reports = verify_grid(net, resistive)
     sizes = []
     real_systems = sim_mod._faulted_systems
 
@@ -141,14 +174,16 @@ def test_blocked_simulator_solves_give_the_same_stack(net, monkeypatch):
         return a, b
 
     monkeypatch.setattr(sim_mod, "_faulted_systems", counted)
-    # blocks of two 15x15 systems, or of one 17x17 bolted abg system
-    monkeypatch.setattr(sim_mod, "_BLOCK_ENTRIES", 2 * 15**2)
+    # blocks of two systems: 15x15, or 16x16 for bolted bc and cg points
+    # (one constraint each); a bolted abg system (17x17) is a block alone
+    monkeypatch.setattr(sim_mod, "_BLOCK_ENTRIES", 2 * 16**2)
     blocked = simulate_many(net, faults)
-    assert max(sizes) <= 2 * 15**2
-    assert len(sizes) == 4 + 3  # 8 resistive or healthy points, 3 bolted ones
+    assert max(sizes) <= 2 * 16**2
+    # 20 resistive or healthy points, 6 bolted bc or cg and 3 bolted abg ones
+    assert len(sizes) == 10 + 3 + 3
     for name in ("v_post", "i_sg_post", "i_line_post", "kcl_residual_fault", "v_f_pre"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
-    assert verify_grid(net, faults[3:9]) == reports
+    assert verify_grid(net, resistive) == reports
 
 
 def _numpy1_solve(real_solve):
