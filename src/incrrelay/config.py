@@ -1,5 +1,6 @@
 """Shared numerical settings."""
 
+import math
 import os
 
 DEFAULT_EPS = 1e-6
@@ -16,9 +17,19 @@ def eps() -> float:
 
     Fault locations are restricted to [eps, 1-eps] because the endpoints put
     the fault bus on top of a terminal bus and break the two-segment split.
-    Override with the INCRRELAY_EPS environment variable.
+    Override with the INCRRELAY_EPS environment variable, a finite number
+    in (0, 0.5); any other value raises ValueError.
     """
-    return float(os.environ.get("INCRRELAY_EPS", DEFAULT_EPS))
+    text = os.environ.get("INCRRELAY_EPS")
+    if text is None:
+        return DEFAULT_EPS
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 0.5:  # NaN fails too
+        raise ValueError(f"INCRRELAY_EPS={text!r} is not a finite number in (0, 0.5)")
+    return value
 
 
 def clamp_location(m_t: float) -> float:

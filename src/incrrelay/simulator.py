@@ -6,11 +6,18 @@ system here is assembled by its own element stamping, independent of the
 incremental module's terminal reduction, so agreement between the two paths
 is evidence rather than tautology.
 
+The systems are in modified nodal form (Ho, Ruehli & Brennan 1975): the
+currents of the protected line's two segments, local bus to F and F to the
+remote bus, are unknowns with one branch row each, so every matrix entry
+stays of order one for every fault location and the currents into the line
+are read from the solution.
+
 A call simulates N fault points, of any fault types, at once. Only the
 protected line's split and the fault stamp differ between them, so the rest
-of the network is stamped once, the healthy prefault state is solved once
-(it depends on neither the fault location nor the fault type), and the N
-faulted systems are stacked extended-precision solves.
+of the network is stamped once, and the healthy prefault state (the line
+split at 0.5, no fault) is row 0 of the stack of N + 1 systems. Each system
+is one double-precision solve plus one refinement step with an
+extended-precision residual.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import numpy as np
 from . import config
 from .admittance import FAULT_BRANCHES, FaultSpec
 from .incremental import OmegaCache
-from .linalg import refined_solve
 from .loops import apparent_impedances, loop_quantities
 from .network import BusRole, NetworkModel
 from .phasors import MeasurementWindow, Phasor3
@@ -47,7 +53,7 @@ class ScenarioResult:
     window: MeasurementWindow  # at the local bus
     remote_window: MeasurementWindow  # at the remote bus
     fault_current: Phasor3  # total current into the fault at F
-    kcl_residual_prefault: float  # relative KCL residual of the solve
+    kcl_residual_prefault: float  # relative residual of the solve, branch rows included
     kcl_residual_fault: float
 
 
@@ -57,13 +63,15 @@ class ScenarioStack:
 
     Row k of every stacked array belongs to the k-th fault simulated. Node
     rows follow ``nodes``: the virtual fault bus "F" first, then every bus;
-    SG rows hold the fixed source voltages.
+    SG rows hold the fixed source voltages. The residuals are relative
+    residuals of the modified nodal systems: the KCL rows and the two
+    branch rows of the protected line.
     """
 
     nodes: tuple[str, ...]
     terminals: tuple[str, str]  # (local, remote) bus ids
     sg_ids: tuple[str, ...]
-    v_pre: np.ndarray  # (K, 3) healthy node voltages; the F row is zero
+    v_pre: np.ndarray  # (K, 3) healthy node voltages; the F row is the line's midpoint
     v_f_pre: np.ndarray  # (N, 3) healthy voltage at each fault location
     i_sg_pre: np.ndarray  # (S, 3) healthy SG terminal currents
     i_line_pre: np.ndarray  # (2, 3) currents into the protected line at (L, R)
@@ -149,15 +157,12 @@ _STAMP_STACK = np.array([_unit_stamp(eta) for eta in _ETA_INDEX] + [np.zeros((3,
 
 
 def _stamp(y: np.ndarray, oi: int, oj: int, yblk: np.ndarray):
-    """Series stamp of one 3x3 branch admittance between two block offsets.
-
-    ``y`` and ``yblk`` may carry the same leading stack axes.
-    """
+    """Series stamp of one 3x3 branch admittance between two block offsets."""
     i, j = slice(oi, oi + 3), slice(oj, oj + 3)
-    y[..., i, i] += yblk
-    y[..., j, j] += yblk
-    y[..., i, j] -= yblk
-    y[..., j, i] -= yblk
+    y[i, i] += yblk
+    y[j, j] += yblk
+    y[i, j] -= yblk
+    y[j, i] -= yblk
 
 
 def _base_system(
@@ -170,12 +175,7 @@ def _base_system(
     Norton admittances as -Y with their source currents on the right; an
     SG's voltage is known, so its columns move to the right-hand side and
     its slot holds the unknown terminal current. The protected line never
-    touches an SG bus, so its segments can be stamped afterwards.
-
-    Stamps accumulate in extended precision: at a clamped location the
-    segment admittance is ~1/eps times the rest, and a double sum would
-    round away the low digits of every other admittance at that bus (a
-    relative error of ~1e-9 in the remote current at eps = 1e-6).
+    touches an SG bus, so its segments can be added afterwards.
     """
     offsets = {"F": 0}
     nxt = 3
@@ -184,13 +184,13 @@ def _base_system(
             if bus.role == role:
                 offsets[bus.id] = nxt
                 nxt += 3
-    y = np.zeros((nxt, nxt), dtype=np.clongdouble)
+    y = np.zeros((nxt, nxt), dtype=complex)
     for line in net.lines:
         if line.id != net.protected_line:
             yblk = np.linalg.inv(_segment_zabc(line.z1, line.z0))
             _stamp(y, offsets[line.from_bus], offsets[line.to_bus], yblk)
 
-    b = np.zeros(nxt, dtype=np.clongdouble)
+    b = np.zeros(nxt, dtype=complex)
     for bus in net.buses:
         blk = slice(offsets[bus.id], offsets[bus.id] + 3)
         if bus.role is BusRole.JUNCTION:
@@ -250,11 +250,11 @@ def _bolted_constraints(eta: str) -> list[np.ndarray]:
     return rows
 
 
-# The faulted systems are solved in blocks of at most this many matrix
-# entries (512 KiB in extended precision: 72 systems of the four-bus
-# network, 2 of a 24-bus one), so a call's memory does not grow with the
-# number of points. Each point is solved on its own, so the block size does
-# not change any result.
+# The systems are solved in blocks of at most this many matrix entries
+# (256 KiB in double precision: 37 systems of the four-bus network, 2 of a
+# 24-bus one), so a call's memory does not grow with the number of points.
+# Each point is solved on its own, so the block size does not change any
+# result.
 _BLOCK_ENTRIES = 1 << 14
 
 # A bolted point's constraint rows and their count, by fault-type index
@@ -264,49 +264,42 @@ _BOLTED_COUNT = np.array([len(rows) for rows in _BOLTED])
 _BOLTED_ROWS = np.array([rows + [np.zeros(3)] * (3 - len(rows)) for rows in _BOLTED])
 
 
-def _healthy_solve(
-    y0: np.ndarray, b0: np.ndarray, local: int, remote: int, y_line: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The prefault state: the protected line whole, the fault-bus block pinned."""
-    a = y0.copy()
-    _stamp(a, local, remote, y_line)
-    a[0:3, 0:3] = np.eye(3)
-    return _solve(a, b0)
-
-
-def _faulted_systems(
+def _systems(
     y0: np.ndarray,
     b0: np.ndarray,
-    local: int,
-    remote: int,
-    y_line: np.ndarray,
+    inc: np.ndarray,
+    zabc: np.ndarray,
     m_t: np.ndarray,
     g: np.ndarray,
     stamp: np.ndarray,
     con: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n + c, n + c) during-fault systems and their right-hand sides.
+    """(N, n + 6 + c, n + 6 + c) modified nodal systems and their right-hand sides.
 
-    Per point only the two protected-line segments, 1/m Y_l between the
-    local bus and F and 1/(1-m) Y_l between F and the remote bus, and the
-    fault conductances g (N,) times the unit stamps ``_STAMP_STACK[stamp]``
-    are added to the base system. A bolted point (m_f = 0) has no
+    Unknowns: the n node entries of the base system, then the segment
+    currents I_LF (local bus to F) and I_FR (F to the remote bus), then c
+    Lagrange multipliers. ``inc`` (n, 6) is the segments' incidence: it puts
+    the currents into the KCL rows of their end buses and, transposed, gives
+    the branch rows v_L - v_F - m Z_l I_LF = 0 and v_F - v_R - (1-m) Z_l
+    I_FR = 0. The fault conductances g (N,) times the unit stamps
+    ``_STAMP_STACK[stamp]`` are added at F. A bolted point (m_f = 0) has no
     conductance; its fault-bus voltage is constrained instead by its rows of
-    ``con`` (N, c, 3), with c Lagrange multipliers. Every point of the stack
-    has the same number c of constraints.
+    ``con`` (N, c, 3). Every point of the stack has the same number c of
+    constraints.
     """
     n = y0.shape[0]
     c = con.shape[1]
-    a = np.zeros((len(m_t), n + c, n + c), dtype=np.clongdouble)
+    a = np.zeros((len(m_t), n + 6 + c, n + 6 + c), dtype=complex)
     a[:, :n, :n] = y0
-    a[:, n:, 0:3] = con
-    a[:, 0:3, n:] = con.transpose(0, 2, 1)
-    b = np.zeros((len(m_t), n + c), dtype=np.clongdouble)
-    b[:, :n] = b0
-
-    _stamp(a, local, 0, (1.0 / m_t)[:, None, None] * y_line)
-    _stamp(a, 0, remote, (1.0 / (1.0 - m_t))[:, None, None] * y_line)
     a[:, 0:3, 0:3] += g[:, None, None] * _STAMP_STACK[stamp]
+    a[:, :n, n : n + 6] = inc
+    a[:, n : n + 6, :n] = inc.T
+    a[:, n : n + 3, n : n + 3] = -m_t[:, None, None] * zabc
+    a[:, n + 3 : n + 6, n + 3 : n + 6] = -(1.0 - m_t)[:, None, None] * zabc
+    a[:, n + 6 :, 0:3] = con
+    a[:, 0:3, n + 6 :] = con.transpose(0, 2, 1)
+    b = np.zeros((len(m_t), n + 6 + c), dtype=complex)
+    b[:, :n] = b0
     return a, b
 
 
@@ -316,47 +309,17 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refined solve of one system or a stack, with relative KCL residuals."""
-    x = refined_solve(a, b[..., None])
-    r = (a @ x)[..., 0] - b
-    return x[..., 0], _norms(r) / np.maximum(_norms(b), 1.0)
+    """Stacked solves with one refinement step, and their relative residuals.
 
-
-def _line_currents(
-    net: NetworkModel, offsets: dict[str, int], v: np.ndarray
-) -> np.ndarray:
-    """(..., 2, 3) currents into the protected line at its (local, remote) buses.
-
-    ``v`` holds node voltages (..., K, 3) in block order. The currents are
-    recovered through KCL at each terminal instead of dividing the tiny
-    voltage drop across a clamped segment, which cancels catastrophically
-    for fault locations near the terminals. Every branch current of a
-    stack is one solve with (3, N) right-hand sides.
+    The refinement's residual is taken in extended precision: a bolted point
+    near a line end leaves a loop voltage of order m_t, which a plain double
+    solve resolves to only a few digits. Right-hand sides get an explicit
+    trailing axis, which numpy 1.x and 2.x read alike.
     """
-    out = []
-    for bus_id in (net.local_bus, net.remote_bus):
-        bus = net.bus(bus_id)
-        v_t = v[..., offsets[bus_id] // 3, :]
-        if bus.role is BusRole.JUNCTION:
-            total = -(v_t @ bus.shunt().T)
-        elif bus.role is BusRole.IBR:
-            total = bus.ibr_current.as_array() + v_t @ bus.shunt().T
-        else:
-            raise ValueError(f"bus {bus_id!r} is an SG; not a relay terminal")
-        for line in net.lines:
-            if line.id == net.protected_line:
-                continue
-            if line.from_bus == bus_id:
-                other = line.to_bus
-            elif line.to_bus == bus_id:
-                other = line.from_bus
-            else:
-                continue
-            dv = (v_t - v[..., offsets[other] // 3, :]).reshape(-1, 3)
-            zabc = _segment_zabc(line.z1, line.z0)
-            total = total - refined_solve(zabc, dv.T).T.reshape(v_t.shape)
-        out.append(total)
-    return np.stack(out, axis=-2)
+    x = np.linalg.solve(a, b[..., None])[..., 0]
+    r = b - np.einsum("kij,kj->ki", a, x, dtype=np.clongdouble)
+    x = x + np.linalg.solve(a, r.astype(complex)[..., None])[..., 0]
+    return x, _norms(np.einsum("kij,kj->ki", a, x) - b) / np.maximum(_norms(b), 1.0)
 
 
 def simulate_many(
@@ -364,20 +327,21 @@ def simulate_many(
 ) -> ScenarioStack:
     """Direct prefault and during-fault solves of N fault points.
 
-    ``None`` is a healthy pair: the line split at m_t = 0.5 and no fault.
-    The points may be of any mix of fault types.
+    ``None`` is a healthy pair: the line split at m_t = 0.5 and no fault,
+    the system of the prefault state. The points may be of any mix of
+    fault types.
     """
-    faults = tuple(faults)
-    # per point: location, resistance fraction and ohms, fault-type index
+    # per system: location, resistance fraction and ohms, fault-type index;
+    # row 0 is the healthy prefault state
     cols = np.array(
         [
             (0.5, 0.0, 1.0, _NO_FAULT)
             if f is None
             else (f.m_t, f.m_f, f.r_f, _ETA_INDEX[f.eta])
-            for f in faults
+            for f in (None, *faults)
         ],
         dtype=float,
-    ).reshape(-1, 4)
+    )
     m_t, m_f, r_f = cols[:, 0], cols[:, 1], cols[:, 2]
     kind = cols[:, 3].astype(int)
     e = config.eps()
@@ -392,43 +356,42 @@ def simulate_many(
         [b.sg_voltage.as_array() for b in net.buses_with_role(BusRole.SG)]
     ).reshape(-1, 3)
 
-    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # SG slots hold the terminal currents; their voltages are the sources'
-        v = x.reshape(*x.shape[:-1], len(nodes), 3)
-        i_sg = v[..., sg, :].copy()
-        v[..., sg, :] = sg_v
-        return v, i_sg
-
     zabc = _segment_zabc(net.protected.z1, net.protected.z0)
-    y_line = np.linalg.inv(zabc)
     o_l, o_r = offsets[net.local_bus], offsets[net.remote_bus]
-    x_pre, res_pre = _healthy_solve(y0, b0, o_l, o_r, y_line)
+    # each segment current leaves its first bus and enters its second
+    n = y0.shape[0]
+    inc = np.zeros((n, 6))
+    for col, (first, second) in zip((0, 3), ((o_l, 0), (0, o_r))):
+        inc[first : first + 3, col : col + 3] = np.eye(3)
+        inc[second : second + 3, col : col + 3] = -np.eye(3)
     # stacked solves per system size, so that no point's solution depends
     # on the other points of the call, in blocks of bounded size
-    n = y0.shape[0]
-    x_post = np.empty((len(faults), n), dtype=complex)
-    res_post = np.empty(len(faults))
+    x = np.empty((len(cols), n + 6), dtype=complex)
+    res = np.empty(len(cols))
     resistive = m_f > 0.0
-    g = np.zeros(len(faults))
+    g = np.zeros(len(cols))
     g[resistive] = 1.0 / (m_f[resistive] * r_f[resistive])
     stamp = np.where(resistive, kind, _NO_FAULT)
     sizes = np.where(resistive, 0, _BOLTED_COUNT[kind])
     for c in sorted(set(sizes.tolist())):
         idx = [k for k, size in enumerate(sizes.tolist()) if size == c]
-        step = max(1, _BLOCK_ENTRIES // (n + c) ** 2)
+        step = max(1, _BLOCK_ENTRIES // (n + 6 + c) ** 2)
         for start in range(0, len(idx), step):
             blk = idx[start : start + step]
-            a, b = _faulted_systems(
-                y0, b0, o_l, o_r, y_line,
+            a, b = _systems(
+                y0, b0, inc, zabc,
                 m_t[blk], g[blk], stamp[blk], _BOLTED_ROWS[kind[blk], :c],
             )
-            x, res = _solve(a, b)
-            x_post[blk], res_post[blk] = x[:, :n], res
-    # row 0 is the healthy state, rows 1.. the faulted ones
-    v, i_sg = split(np.vstack([x_pre, x_post]))
-    i_line = _line_currents(net, offsets, v)
+            x_blk, res[blk] = _solve(a, b)
+            x[blk] = x_blk[:, : n + 6]
+    # SG slots hold the terminal currents; their voltages are the sources'
+    v = x[:, :n].reshape(len(cols), len(nodes), 3)
+    i_sg = v[:, sg].copy()
+    v[:, sg] = sg_v
+    # currents into the protected line at (local, remote): I_LF and -I_FR
+    i_line = np.stack([x[:, n : n + 3], -x[:, n + 3 :]], axis=1)
     # prefault fault-bus voltage, interpolated along the (healthy) line
-    v_f_pre = v[0, o_l // 3] - m_t[:, None] * (zabc @ i_line[0, 0])
+    v_f_pre = v[0, o_l // 3] - m_t[1:, None] * (zabc @ i_line[0, 0])
     return ScenarioStack(
         nodes=nodes,
         terminals=(net.local_bus, net.remote_bus),
@@ -440,8 +403,8 @@ def simulate_many(
         v_post=v[1:],
         i_sg_post=i_sg[1:],
         i_line_post=i_line[1:],
-        kcl_residual_prefault=float(res_pre),
-        kcl_residual_fault=res_post,
+        kcl_residual_prefault=float(res[0]),
+        kcl_residual_fault=res[1:],
     )
 
 

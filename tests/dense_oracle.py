@@ -16,7 +16,6 @@ import numpy as np
 
 from incrrelay import config
 from incrrelay.admittance import FaultRangeError, SingularSystemError
-from incrrelay.linalg import refined_solve
 from incrrelay.network import BusRole, NetworkModel, phase_impedance
 
 
@@ -139,10 +138,26 @@ def assemble_incremental(
     return IncrementalSystem(y_lhs=y_lhs, y_rhs=y_rhs, m_t=m_t, offsets=faulted.offsets)
 
 
+def _refined_solve(a: np.ndarray, b: np.ndarray, iters: int = 2) -> np.ndarray:
+    """Solve a x = b (both 2-D) with iterative refinement.
+
+    The clamped locations put admittances of order 1/eps into ``a``, so a
+    plain double-precision solve loses about cond * ulp; two refinement
+    steps with the residual in extended precision recover the digits.
+    """
+    a_hi = np.asarray(a, dtype=np.clongdouble)
+    b_hi = np.asarray(b, dtype=np.clongdouble)
+    x = np.linalg.solve(a, b)
+    for _ in range(iters):
+        r = b_hi - a_hi @ x.astype(np.clongdouble)
+        x = x + np.linalg.solve(a, r.astype(complex))
+    return x
+
+
 def solve_omega(sys: IncrementalSystem) -> np.ndarray:
     """Dense solve mapping the prefault fault-bus voltage to the incremental state."""
     try:
-        return refined_solve(sys.y_lhs, sys.y_rhs)
+        return _refined_solve(sys.y_lhs, sys.y_rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"incremental system singular at m_t={sys.m_t}"

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import yaml
 
 from incrrelay import FAULT_TYPES, contains, fourbus_path
@@ -313,6 +314,17 @@ def test_eps_env_override(tmp_path, monkeypatch):
 
     assert config.eps() == 0.01
     assert config.clamp_location(0.0) == 0.01
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.7", "nan", "inf", "1e-3x"])
+def test_invalid_eps_is_a_validation_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("INCRRELAY_EPS", value)
+    rc = main(["verify", "--fault", "ag", "--grid", "dense:2x2"])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (
+        f"validation error: INCRRELAY_EPS={value!r} is not a finite number in (0, 0.5)\n"
+    )
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, monkeypatch, capsys):

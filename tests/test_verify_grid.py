@@ -4,7 +4,9 @@
 simulator stack and one Omega stack per fault type. Its reports must meet
 verify's thresholds on the bundled and the generated networks, must not
 depend on the order of the points or on the other fault types of a call, and
-each state of a simulator stack must be the single-point one.
+each state of a simulator stack must be the single-point one. The
+simulator must also hold near the line ends and at bolted points, where the
+refinement step of its solves is what keeps it within verify's thresholds.
 """
 
 import contextlib
@@ -25,7 +27,6 @@ from incrrelay import (
 )
 from incrrelay.cli import BALANCE_THRESHOLD, SIGMA_THRESHOLD, Z_A_THRESHOLD, main
 from incrrelay.config import clamp_location
-from incrrelay.linalg import refined_solve
 
 from test_reduction import NETWORKS
 
@@ -116,15 +117,27 @@ def test_verify_solves_prefault_and_reduces_once_per_command(monkeypatch):
     sim_mod = import_module("incrrelay.simulator")
     inc_mod = import_module("incrrelay.incremental")
     calls = {}
-    for name in ("_base_system", "_healthy_solve"):
-        _counting(monkeypatch, sim_mod, name, calls)
+    _counting(monkeypatch, sim_mod, "_base_system", calls)
     _counting(monkeypatch, inc_mod, "terminal_impedance", calls)
+    shapes = []
+    real_systems = sim_mod._systems
+
+    def systems(*args):
+        a, b = real_systems(*args)
+        shapes.append(a.shape)
+        return a, b
+
+    monkeypatch.setattr(sim_mod, "_systems", systems)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = main(["verify", "--fault", "all", "--grid", "dense:4x3"])
     assert rc == 0
-    assert len(out.getvalue().splitlines()) == 1 + len(FAULT_TYPES) * 4 * 2
-    # the network outside the fault is stamped, solved and reduced once
-    assert calls == {"_base_system": 1, "_healthy_solve": 1, "terminal_impedance": 1}
+    points = len(FAULT_TYPES) * 4 * 2
+    assert len(out.getvalue().splitlines()) == 1 + points
+    # the network outside the fault is stamped and reduced once, and the
+    # prefault state is one more system of the same stack
+    assert calls == {"_base_system": 1, "terminal_impedance": 1}
+    assert sum(shape[0] for shape in shapes) == points + 1
+    assert {shape[1:] for shape in shapes} == {(15 + 6, 15 + 6)}
 
 
 def _verify_stdout(*argv):
@@ -144,16 +157,6 @@ def test_verify_all_prints_the_single_type_rows():
     assert whole[1:] == rows
 
 
-def test_stacked_refined_solve_matches_single_solves():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6)) + 6 * np.eye(6)
-    b = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-    x = refined_solve(a, b[..., None])[..., 0]
-    for k in range(4):
-        assert np.array_equal(x[k], refined_solve(a[k], b[k]))
-        assert np.allclose(a[k] @ x[k], b[k], rtol=0.0, atol=1e-13)
-
-
 def test_blocked_simulator_solves_give_the_same_stack(net, monkeypatch):
     sim_mod = import_module("incrrelay.simulator")
     # a mixed stack: resistive, bolted and healthy points of several types
@@ -166,22 +169,26 @@ def test_blocked_simulator_solves_give_the_same_stack(net, monkeypatch):
     whole = simulate_many(net, faults)
     reports = verify_grid(net, resistive)
     sizes = []
-    real_systems = sim_mod._faulted_systems
+    real_systems = sim_mod._systems
 
     def counted(*args):
         a, b = real_systems(*args)
         sizes.append(a.size)
         return a, b
 
-    monkeypatch.setattr(sim_mod, "_faulted_systems", counted)
-    # blocks of two systems: 15x15, or 16x16 for bolted bc and cg points
-    # (one constraint each); a bolted abg system (17x17) is a block alone
-    monkeypatch.setattr(sim_mod, "_BLOCK_ENTRIES", 2 * 16**2)
+    monkeypatch.setattr(sim_mod, "_systems", counted)
+    # blocks of two systems of n + 6 + c unknowns (n = 15 node entries, six
+    # segment currents, c constraints): 21x21, or 22x22 for bolted bc and
+    # cg points; a bolted abg system (23x23) is a block alone
+    monkeypatch.setattr(sim_mod, "_BLOCK_ENTRIES", 2 * 22**2)
     blocked = simulate_many(net, faults)
-    assert max(sizes) <= 2 * 16**2
-    # 20 resistive or healthy points, 6 bolted bc or cg and 3 bolted abg ones
-    assert len(sizes) == 10 + 3 + 3
-    for name in ("v_post", "i_sg_post", "i_line_post", "kcl_residual_fault", "v_f_pre"):
+    assert max(sizes) <= 2 * 22**2
+    # the prefault state, 20 resistive or healthy points, 6 bolted bc or cg
+    # and 3 bolted abg ones
+    assert len(sizes) == 11 + 3 + 3
+    names = ("v_pre", "i_line_pre", "kcl_residual_prefault", "v_post", "i_sg_post",
+             "i_line_post", "kcl_residual_fault", "v_f_pre")
+    for name in names:
         assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
     assert verify_grid(net, resistive) == reports
 
@@ -208,9 +215,6 @@ def _numpy1_solve(real_solve):
 def test_results_do_not_depend_on_the_numpy_solve_convention(net, monkeypatch):
     cache = OmegaCache(net)
     points = [_grid(net, eta) for eta in FAULT_TYPES]  # six points each
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)) + 4 * np.eye(4)
-    b = rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2))
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -225,9 +229,6 @@ def test_results_do_not_depend_on_the_numpy_solve_convention(net, monkeypatch):
         arrays += [
             cache.omega_map(points[0][1]).omega,
             simulate_many(net, points[4] + [None]).v_post,
-            refined_solve(a, b),
-            refined_solve(a, b[0]),
-            refined_solve(a, b[0, :, 0]),
         ]
         return rc, out.getvalue(), reports, arrays
 
@@ -239,3 +240,33 @@ def test_results_do_not_depend_on_the_numpy_solve_convention(net, monkeypatch):
     assert reports == reports1
     for x, y in zip(arrays, arrays1, strict=True):
         assert np.array_equal(x, y)
+
+
+def test_verify_holds_near_the_line_ends(monkeypatch):
+    # a clamp of 1e-12 puts the fault bus almost on a terminal bus; the
+    # modified nodal systems keep every entry of order one there
+    monkeypatch.setenv("INCRRELAY_EPS", "1e-12")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(["verify", "--fault", "all", "--grid", "dense:5x5"])
+    assert rc == 0, out.getvalue()
+
+
+# bolted points near both line ends and inside; verify's grid skips m_f = 0
+BOLTED_M_T = (1e-3, 0.37, 0.999)
+# the one truly unenergized loop: relay bus b0 of seed 8 has no source
+# behind it, so a bolted three-phase-to-ground fault leaves the loop dead
+UNENERGIZED = {("seed8", "abcg")}
+
+
+@pytest.mark.parametrize("name", list(NETWORKS))
+def test_bolted_points_meet_the_z_a_threshold(name):
+    net = NETWORKS[name]
+    for eta in FAULT_TYPES:
+        faults = [FaultSpec(eta, m_t, 0.0, net.r_fault_max) for m_t in BOLTED_M_T]
+        if (name, eta) in UNENERGIZED:
+            with pytest.raises(ValueError, match="loop not energized"):
+                verify_grid(net, faults)
+            continue
+        for rep in verify_grid(net, faults):
+            assert rep.z_a_rel_err <= Z_A_THRESHOLD, rep
+            assert rep.sigma_rel_err == 0.0
