@@ -15,26 +15,11 @@ from .characteristics import (
     hull_characteristic,
     parallelogram,
 )
-from .incremental import OmegaCache, build_omega_map, remote_current
-from .loops import apparent_impedance, incremental_apparent_impedance, loop_quantities
-from .network import (
-    Bus,
-    BusRole,
-    Line,
-    NetworkModel,
-    parse_network,
-    phase_impedance,
-    serialize_network,
-)
-from .phasors import MeasurementWindow, Phasor3, incremental, zero_sequence
-from .simulator import (
-    ScenarioResult,
-    ScenarioStack,
-    simulate,
-    simulate_many,
-    verify_grid,
-    verify_pipeline,
-)
+from .incremental import OmegaCache
+from .loops import loop_quantities
+from .network import Bus, BusRole, Line, NetworkModel, parse_network, phase_impedance
+from .phasors import MeasurementWindow, Phasor3
+from .simulator import ScenarioResult, ScenarioStack, simulate, simulate_many, verify_grid
 
 __all__ = [
     "FAULT_TYPES",
@@ -50,10 +35,6 @@ __all__ = [
     "hull_characteristic",
     "parallelogram",
     "OmegaCache",
-    "build_omega_map",
-    "remote_current",
-    "apparent_impedance",
-    "incremental_apparent_impedance",
     "loop_quantities",
     "Bus",
     "BusRole",
@@ -61,17 +42,13 @@ __all__ = [
     "NetworkModel",
     "parse_network",
     "phase_impedance",
-    "serialize_network",
     "MeasurementWindow",
     "Phasor3",
-    "incremental",
-    "zero_sequence",
     "ScenarioResult",
     "ScenarioStack",
     "simulate",
     "simulate_many",
     "verify_grid",
-    "verify_pipeline",
     "fourbus_path",
 ]
 

@@ -48,10 +48,6 @@ class FaultRangeError(ValueError):
     """Fault location outside the clamped range [eps, 1-eps]."""
 
 
-class BoltedFaultError(ValueError):
-    """m_F = 0: no admittance stamp exists; the caller must bypass the solve."""
-
-
 class SingularSystemError(np.linalg.LinAlgError):
     """The incremental network or a fault system is singular."""
 
@@ -74,18 +70,6 @@ class FaultSpec:
             raise ValueError(f"m_f must lie in [0, 1], got {self.m_f}")
         if self.r_f <= 0.0:
             raise ValueError(f"r_f must be positive, got {self.r_f}")
-
-
-def fault_stamp(eta: str, m_f: float, r_f: float) -> np.ndarray:
-    """3x3 admittance of the fault resistor network, conductance 1/(m_f*r_f)."""
-    if eta not in FAULT_TYPES:
-        raise ValueError(f"unknown fault type {eta!r}")
-    if m_f == 0.0:
-        raise BoltedFaultError(
-            "m_f = 0 has no admittance stamp; use the bolted-fault path"
-        )
-    g = 1.0 / (m_f * r_f)
-    return g * normalized_stamp(eta)
 
 
 def normalized_stamp(eta: str) -> np.ndarray:

@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .admittance import FAULT_TYPES, FaultSpec
-from .incremental import OmegaCache, prefault_vector, remote_current
-from .loops import UnenergizedLoopError, apparent_impedances, fault_resistance_direction
+from .admittance import FAULT_TYPES
+from .incremental import OmegaCache, prefault_vector
+from .loops import UnenergizedLoopError, apparent_impedances
 from .network import NetworkModel
 from .phasors import MeasurementWindow
 
@@ -131,16 +131,21 @@ def parallelogram(
     """Minkowski sum of the line segment [0, z1] and the resistance segment.
 
     The remote current is frozen at the nominal fault point m_hat; the
-    resistance segment direction is the m_f = 1 endpoint.
+    resistance segment direction is the apparent impedance at m_t = 0 and
+    m_f = 1 under that frozen current.
     """
-    m_t_hat = config.clamp_location(m_hat[0])
+    if eta not in FAULT_TYPES:
+        raise ValueError(f"unknown fault type {eta!r}; expected one of {FAULT_TYPES}")
+    e = config.eps()
+    m_t_hat = min(max(m_hat[0], e), 1.0 - e)
     m_f_hat = m_hat[1]
     if not 0.0 < m_f_hat <= 1.0:
         raise ValueError(f"m_f_hat must lie in (0, 1], got {m_f_hat}")
     line = net.protected
-    fault = FaultSpec(eta, m_t_hat, m_f_hat, net.r_fault_max)
-    sigma_hat = remote_current((cache or OmegaCache(net)).omega_map(fault), window)
-    w = fault_resistance_direction(eta, window, line, sigma_hat, net.r_fault_max)
+    r_f = net.r_fault_max
+    omega = (cache or OmegaCache(net)).omegas(eta, m_t_hat, m_f_hat, r_f)[0]
+    sigma_hat = omega @ prefault_vector(window)
+    w = apparent_impedances(eta, window, line, sigma_hat, 0.0, 1.0, r_f)
     z = line.z1
     meta = {"m_hat": (m_t_hat, m_f_hat)}
     if abs(w) < 1e-12 * abs(z):

@@ -95,12 +95,16 @@ def _parse_grid(spec: str):
             n_t, n_f = (int(v) for v in spec[len("dense:") :].split("x"))
         except ValueError:
             raise UsageError(f"bad dense grid spec {spec!r}; expected dense:NxM")
+        if min(n_t, n_f) < 1:
+            raise UsageError(f"bad dense grid spec {spec!r}; N and M must be at least 1")
         return grid_dense(n_t, n_f)
     if spec.startswith("perimeter:"):
         try:
             n = int(spec[len("perimeter:") :])
         except ValueError:
             raise UsageError(f"bad perimeter grid spec {spec!r}; expected perimeter:N")
+        if n < 1:
+            raise UsageError(f"bad perimeter grid spec {spec!r}; N must be at least 1")
         return grid_perimeter(n)
     raise UsageError(
         f"unknown grid {spec!r}; expected paper22, corners4, dense:NxM, or perimeter:N"
@@ -337,6 +341,8 @@ def cmd_verify(args) -> int:
     # the grid is clamped once; every point of the command is one stack
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
     pts = pts[pts[:, 1] != 0.0]
+    if not len(pts):
+        raise ValueError(f"grid {args.grid!r} has no resistive point (m_f > 0) to verify")
     e = config.eps()
     locations = list(zip(np.clip(pts[:, 0], e, 1.0 - e).tolist(), pts[:, 1].tolist()))
     points = [

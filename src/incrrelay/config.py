@@ -30,9 +30,3 @@ def eps() -> float:
     if not 0.0 < value < 0.5:  # NaN fails too
         raise ValueError(f"INCRRELAY_EPS={text!r} is not a finite number in (0, 0.5)")
     return value
-
-
-def clamp_location(m_t: float) -> float:
-    """Clamp a normalized fault location into [eps, 1-eps]."""
-    e = eps()
-    return min(max(m_t, e), 1.0 - e)

@@ -18,19 +18,13 @@ solve, so a whole grid is evaluated at once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .admittance import (
-    FaultRangeError,
-    FaultSpec,
-    SingularSystemError,
-    normalized_stamp,
-)
+from .admittance import FaultRangeError, SingularSystemError, normalized_stamp
 from .network import BusRole, NetworkModel, phase_impedance
-from .phasors import MeasurementWindow, Phasor3
+from .phasors import MeasurementWindow
 
 
 def terminal_impedance(net: NetworkModel) -> np.ndarray:
@@ -99,6 +93,12 @@ def omega_stack(
         raise FaultRangeError(
             f"m_t={m_t[k]} outside the clamped range [{e}, {1.0 - e}]"
         )
+    outside = ~((m_f > 0.0) & (m_f <= 1.0))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"m_f outside (0, 1] at grid point (m_t={m_t[k]}, m_f={m_f[k]})"
+        )
     m = m_t[:, None, None]
     z_ll, z_lr = z_t[0:3, 0:3], z_t[0:3, 3:6]
     z_rl, z_rr = z_t[3:6, 0:3], z_t[3:6, 3:6]
@@ -137,28 +137,9 @@ def omega_stack(
     return omega
 
 
-@dataclass(frozen=True)
-class RemoteCurrentMap:
-    """3x6 operator on the stacked prefault window [v_prev; i_prev]."""
-
-    omega: np.ndarray
-    eta: str
-    m_t: float
-    m_f: float
-
-
 def prefault_vector(w: MeasurementWindow) -> np.ndarray:
     """The stacked prefault window [v_prev; i_prev] that Omega acts on."""
     return np.concatenate([w.v_prev.as_array(), w.i_prev.as_array()])
-
-
-def remote_current(rc_map: RemoteCurrentMap, w: MeasurementWindow) -> Phasor3:
-    """Incremental current feeding the fault from the remote end.
-
-    Depends only on the prefault half of the window; the during-fault
-    measurements never enter.
-    """
-    return Phasor3.from_array(rc_map.omega @ prefault_vector(w))
 
 
 class OmegaCache:
@@ -180,16 +161,3 @@ class OmegaCache:
         m_t = np.asarray(m_t, dtype=float).reshape(-1)
         m_f = np.asarray(m_f, dtype=float).reshape(-1)
         return omega_stack(self.z_t, self.z_line, eta, m_t, m_f, r_f)
-
-    def omega_map(self, fault: FaultSpec) -> RemoteCurrentMap:
-        """Remote-current map of one resistive fault realization."""
-        if fault.m_f <= 0.0:
-            raise ValueError("remote-current map requires m_f > 0")
-        omega = self.omegas(fault.eta, fault.m_t, fault.m_f, fault.r_f)[0]
-        return RemoteCurrentMap(omega=omega, eta=fault.eta, m_t=fault.m_t, m_f=fault.m_f)
-
-
-def build_omega_map(net: NetworkModel, fault: FaultSpec) -> RemoteCurrentMap:
-    """Reduce the network and build the map of one fault realization (N = 1)."""
-    return OmegaCache(net).omega_map(fault)
-

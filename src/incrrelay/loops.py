@@ -15,16 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .admittance import FAULT_TYPES, FaultSpec, normalized_stamp
+from .admittance import FAULT_TYPES, normalized_stamp
 from .network import Line
-from .phasors import (
-    GROUND_LOOPS,
-    PSI,
-    MeasurementWindow,
-    Phasor3,
-    incremental,
-    phase_array,
-)
+from .phasors import GROUND_LOOPS, PSI, MeasurementWindow, phase_array
 
 # Loop used to measure each fault type. Multi-phase faults (with or without
 # ground) are measured on the line-to-line loop of the involved phase pair;
@@ -46,10 +39,6 @@ LOOP_FOR_FAULT = {
 
 class UnenergizedLoopError(ValueError):
     """The loop current denominator is below the floor; loop not energized."""
-
-
-class DegenerateDenominatorError(UnenergizedLoopError):
-    """The incremental loop current is (near) zero, e.g. a healthy window."""
 
 
 @dataclass(frozen=True)
@@ -116,23 +105,6 @@ def fault_voltage_row(eta: str) -> np.ndarray:
     return _FAULT_VOLTAGE_ROWS[eta]
 
 
-def _resistance_numerator(eta: str, w: MeasurementWindow, sigma: Phasor3) -> complex:
-    i_l_inc = incremental(w.i_now, w.i_prev)
-    phi = (i_l_inc + sigma).as_array()
-    return complex(fault_voltage_row(eta) @ phi)
-
-
-def _energized_loop(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantities:
-    lq = loop_quantities(eta, w, line)
-    i_a = np.ravel(lq.i_a)
-    low = np.abs(i_a) <= config.I_MIN
-    if low.any():
-        raise UnenergizedLoopError(
-            f"loop {LOOP_FOR_FAULT[eta]} current |{i_a[np.argmax(low)]:.3e}| below floor"
-        )
-    return lq
-
-
 def apparent_impedances(
     eta: str,
     w: MeasurementWindow,
@@ -145,76 +117,17 @@ def apparent_impedances(
     """Apparent impedance of the matched loop at N fault points.
 
     ``sigma`` is the (N, 3) stack of remote currents, one row per point
-    (m_t[k], m_f[k]). The window is shared, or a stacked window with one
-    during-fault row per point. A bolted point (m_f = 0) reads m_t * z1.
+    (m_t[k], m_f[k]), or the (3,) remote current of scalar m_t and m_f. The
+    window is shared, or a stacked window with one during-fault row per
+    point. A bolted point (m_f = 0) reads m_t * z1.
     """
-    lq = _energized_loop(eta, w, line)
+    lq = loop_quantities(eta, w, line)
+    i_a = np.ravel(lq.i_a)
+    low = np.abs(i_a) <= config.I_MIN
+    if low.any():
+        raise UnenergizedLoopError(
+            f"loop {LOOP_FOR_FAULT[eta]} current |{i_a[np.argmax(low)]:.3e}| below floor"
+        )
     phi = (phase_array(w.i_now) - phase_array(w.i_prev)) + sigma
     num = phi @ fault_voltage_row(eta)
     return m_t * line.z1 + m_f * r_f * num / lq.i_a
-
-
-def apparent_impedance(
-    eta: str,
-    w: MeasurementWindow,
-    line: Line,
-    sigma: Phasor3 | None,
-    m: FaultSpec,
-) -> complex:
-    """Apparent impedance of the matched loop for fault realization ``m``.
-
-    A bolted fault (m_f = 0) reads the line impedance fraction exactly and
-    needs neither the window nor the remote current.
-    """
-    if m.m_f == 0.0:
-        return m.m_t * line.z1
-    if sigma is None:
-        raise ValueError("sigma is required for m_f > 0")
-    z = apparent_impedances(
-        eta, w, line, sigma.as_array()[None, :], m.m_t, m.m_f, m.r_f
-    )
-    return complex(z[0])
-
-
-def incremental_apparent_impedance(
-    eta: str,
-    w: MeasurementWindow,
-    line: Line,
-    sigma: Phasor3 | None,
-    m: FaultSpec,
-) -> complex:
-    """Apparent impedance with the incremental loop current as denominator.
-
-    Degenerates to 0/0 on healthy windows, which is reported as an error.
-    """
-    if m.m_f == 0.0:
-        return m.m_t * line.z1
-    if sigma is None:
-        raise ValueError("sigma is required for m_f > 0")
-    lq = loop_quantities(eta, w, line)
-    if abs(lq.i_a_inc) <= config.I_MIN:
-        raise DegenerateDenominatorError(
-            f"incremental loop current |{lq.i_a_inc:.3e}| below floor"
-        )
-    num = _resistance_numerator(eta, w, sigma)
-    # the incremental fault-point loop voltage keeps a prefault term: the
-    # healthy line had a nonzero voltage at the fault location, recovered
-    # here from the prefault half of the window
-    v_f_prev = (lq.v_a - lq.v_a_inc) - m.m_t * line.z1 * (lq.i_a - lq.i_a_inc)
-    return m.m_t * line.z1 + (m.m_f * m.r_f * num - v_f_prev) / lq.i_a_inc
-
-
-def fault_resistance_direction(
-    eta: str,
-    w: MeasurementWindow,
-    line: Line,
-    sigma_hat: Phasor3,
-    r_f: float,
-) -> complex:
-    """Fixed direction of the fault-resistance segment at m_f = 1.
-
-    With the remote current frozen at a nominal fault point, the apparent
-    impedance becomes m_t * z1 + m_f * w; this returns w.
-    """
-    lq = _energized_loop(eta, w, line)
-    return r_f * _resistance_numerator(eta, w, sigma_hat) / lq.i_a

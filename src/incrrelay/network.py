@@ -356,56 +356,3 @@ def validate_network(net: NetworkModel):
         raise NetworkValidationError(
             f"network is disconnected; unreachable buses: {sorted(known - seen)}"
         )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _phasor_doc(p: Phasor3) -> list:
-    return [_pair(p.a), _pair(p.b), _pair(p.c)]
-
-
-def _matrix_doc(y: np.ndarray) -> list | dict:
-    if np.allclose(y, np.eye(3) * y[0, 0], rtol=0.0, atol=0.0):
-        return {"diag": _pair(complex(y[0, 0]))}
-    return [_pair(complex(v)) for v in y.reshape(9)]
-
-
-def serialize_network(net: NetworkModel) -> str:
-    """Render a network model back to the file format (parse round-trips)."""
-    buses = []
-    for b in net.buses:
-        entry: dict = {"id": b.id, "role": b.role.value}
-        if b.role is BusRole.SG:
-            entry["voltage"] = _phasor_doc(b.sg_voltage)
-        elif b.role is BusRole.IBR:
-            entry["current"] = _phasor_doc(b.ibr_current)
-            entry["admittance"] = _matrix_doc(b.shunt_admittance)
-        elif b.shunt_admittance is not None:
-            entry["admittance"] = _matrix_doc(b.shunt_admittance)
-        buses.append(entry)
-    doc = {
-        "buses": buses,
-        "lines": [
-            {
-                "id": l.id,
-                "from": l.from_bus,
-                "to": l.to_bus,
-                "z1": _pair(l.z1),
-                "z0": _pair(l.z0),
-            }
-            for l in net.lines
-        ],
-        "relay": {
-            "line": net.protected_line,
-            "local": net.local_bus,
-            "remote": net.remote_bus,
-            "r_fault_max": net.r_fault_max,
-        },
-    }
-    return yaml.safe_dump(doc, sort_keys=False)

@@ -1,4 +1,4 @@
-"""Three-phase phasor values, incremental quantities, and loop projections."""
+"""Three-phase phasor values, measurement windows, and fault-loop selectors."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ PSI = {
     "ca": np.array([-1.0, 0.0, 1.0]),
 }
 
-LOOPS = tuple(PSI)
 GROUND_LOOPS = ("ag", "bg", "cg")
 
 
@@ -56,20 +55,6 @@ class Phasor3:
     def zero(cls) -> "Phasor3":
         return cls(0j, 0j, 0j)
 
-    def __add__(self, other: "Phasor3") -> "Phasor3":
-        return Phasor3(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other: "Phasor3") -> "Phasor3":
-        return Phasor3(self.a - other.a, self.b - other.b, self.c - other.c)
-
-    def __mul__(self, scale: complex) -> "Phasor3":
-        return Phasor3(self.a * scale, self.b * scale, self.c * scale)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
 
 @dataclass(frozen=True)
 class MeasurementWindow:
@@ -93,18 +78,3 @@ class MeasurementWindow:
 def phase_array(x) -> np.ndarray:
     """Phase values of a Phasor3 or of a (..., 3) phase array, as an array."""
     return x.as_array() if isinstance(x, Phasor3) else np.asarray(x)
-
-
-def incremental(now: Phasor3, prev: Phasor3) -> Phasor3:
-    """Incremental quantity: the phasor now minus the same phasor p cycles ago."""
-    return now - prev
-
-
-def zero_sequence(i: Phasor3) -> complex:
-    """Zero-sequence component (i.a + i.b + i.c) / 3."""
-    return (i.a + i.b + i.c) / 3.0
-
-
-def loop_projection(psi: np.ndarray, x: Phasor3) -> complex:
-    """Apply a fault-loop row selector to a three-phase value."""
-    return complex(np.asarray(psi) @ x.as_array())

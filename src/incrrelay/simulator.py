@@ -100,7 +100,7 @@ class ScenarioStack:
             fault=post,
             window=windows[0],
             remote_window=windows[1],
-            fault_current=i_post[0] + i_post[1],
+            fault_current=Phasor3.from_array(self.i_line_post[k].sum(axis=0)),
             kcl_residual_prefault=self.kcl_residual_prefault,
             kcl_residual_fault=float(self.kcl_residual_fault[k]),
         )
@@ -487,8 +487,3 @@ def verify_grid(
         )
         for k, f in enumerate(faults)
     ]
-
-
-def verify_pipeline(net: NetworkModel, fault: FaultSpec) -> VerificationReport:
-    """Cross-check the incremental pipeline against the direct solves at one point."""
-    return verify_grid(net, [fault])[0]

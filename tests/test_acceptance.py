@@ -12,21 +12,18 @@ import pytest
 from incrrelay import (
     FAULT_TYPES,
     FaultSpec,
-    apparent_impedance,
+    config,
     contains,
     convex_hull,
     exact_sampled,
     grid_dense,
     hull_characteristic,
     parallelogram,
-    remote_current,
     simulate,
-    verify_pipeline,
+    verify_grid,
 )
-from incrrelay.config import clamp_location
-from incrrelay.incremental import OmegaCache, build_omega_map
-from incrrelay.loops import fault_resistance_direction
-from incrrelay.phasors import incremental
+from incrrelay.incremental import OmegaCache, prefault_vector
+from incrrelay.loops import apparent_impedances
 
 from test_characteristics import assert_all_points_left_of_all_edges, oracle_hull
 
@@ -43,14 +40,16 @@ def _verdict(num, name, ok, detail):
 def grid_reports(net):
     """Verification reports over all 11 fault types and the 5x5 grid."""
     t0 = time.perf_counter()
-    reports = [
-        verify_pipeline(
-            net, FaultSpec(eta, clamp_location(m_t), m_f, net.r_fault_max)
-        )
-        for eta in FAULT_TYPES
-        for m_t in M_T_GRID
-        for m_f in M_F_GRID
-    ]
+    e = config.eps()
+    reports = verify_grid(
+        net,
+        [
+            FaultSpec(eta, min(max(m_t, e), 1.0 - e), m_f, net.r_fault_max)
+            for eta in FAULT_TYPES
+            for m_t in M_T_GRID
+            for m_f in M_F_GRID
+        ],
+    )
     elapsed = time.perf_counter() - t0
     return reports, elapsed
 
@@ -80,13 +79,13 @@ def test_criterion_2_fault_loop_closure(grid_reports):
     )
 
 
-def test_criterion_3_bolted_fault_degeneracy(net):
+def test_criterion_3_bolted_fault_degeneracy(net, window_ag):
     e = 1e-6
     worst = 0.0
+    m_ts = (e, 0.25, 0.5, 0.75, 1.0 - e)
     for eta in FAULT_TYPES:
-        for m_t in (e, 0.25, 0.5, 0.75, 1.0 - e):
-            f = FaultSpec(eta, m_t, 0.0, net.r_fault_max)
-            z = apparent_impedance(eta, None, net.protected, None, f)
+        cloud = exact_sampled(net, eta, window_ag, [(m_t, 0.0) for m_t in m_ts])
+        for m_t, z in zip(m_ts, cloud.samples):
             worst = max(worst, abs(z - m_t * net.protected.z1))
     ok = worst <= 1e-12
     _verdict(3, "bolted-fault degeneracy", ok, f"worst abs err {worst:.3e}")
@@ -103,11 +102,11 @@ def test_criterion_4_source_cancellation_structure(net, grid_reports):
         for bus in net.buses:
             if bus.role.value == "sg":
                 continue
-            dv = incremental(sim.fault.v(bus.id), sim.prefault.v(bus.id))
-            min_state = min(min_state, dv.norm())
+            dv = sim.fault.v(bus.id).as_array() - sim.prefault.v(bus.id).as_array()
+            min_state = min(min_state, np.linalg.norm(dv))
         for bus_id, i_post in sim.fault.sg_currents.items():
-            di = incremental(i_post, sim.prefault.sg_currents[bus_id])
-            min_state = min(min_state, di.norm())
+            di = i_post.as_array() - sim.prefault.sg_currents[bus_id].as_array()
+            min_state = min(min_state, np.linalg.norm(di))
     ok = worst_sg == 0.0 and min_state > 0.0
     _verdict(
         4,
@@ -171,12 +170,13 @@ def test_criterion_7_convex_hull_correctness():
 
 def test_criterion_8_parallelogram_structure(net, window_ag):
     ch = parallelogram(net, "ag", window_ag, (0.5, 1.0))
-    # recompute the resistance direction independently of the characteristic
-    f = FaultSpec("ag", 0.5, 1.0, net.r_fault_max)
-    sigma = remote_current(build_omega_map(net, f), window_ag)
-    w = fault_resistance_direction(
-        "ag", window_ag, net.protected, sigma, net.r_fault_max
-    )
+    # recompute the resistance direction independently of the characteristic:
+    # the apparent impedance at m_t = 0, m_f = 1 under the remote current
+    # frozen at m_hat
+    r_f = net.r_fault_max
+    omega = OmegaCache(net).omegas("ag", [0.5], [1.0], r_f)[0]
+    sigma = omega @ prefault_vector(window_ag)
+    w = apparent_impedances("ag", window_ag, net.protected, sigma, 0.0, 1.0, r_f)
     z = net.protected.z1
     want = {a * z + b * w for a in (0.0, 1.0) for b in (0.0, 1.0)}
     ok = set(ch.vertices) == want and len(ch.vertices) == 4

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from incrrelay import FAULT_TYPES, FaultSpec, parse_network, phase_impedance, simulate
-from incrrelay.admittance import (
-    BoltedFaultError,
-    FAULT_BRANCHES,
-    FaultRangeError,
-    fault_stamp,
-    normalized_stamp,
+from incrrelay import (
+    FAULT_TYPES,
+    FaultSpec,
+    OmegaCache,
+    parse_network,
+    phase_impedance,
+    simulate,
 )
+from incrrelay.admittance import FAULT_BRANCHES, FaultRangeError, normalized_stamp
 from incrrelay.network import BusRole
 
 from dense_oracle import IncrementalSystem, assemble_incremental, assemble_y, solve_omega
@@ -96,15 +97,11 @@ def test_location_clamp_enforced(net):
 
 
 def test_fault_stamp_examples():
-    ag = fault_stamp("ag", 1.0, 10.0)
+    # the fault resistors' admittance: the normalized stamp over m_f r_f
+    ag = normalized_stamp("ag") / (1.0 * 10.0)
     assert np.allclose(ag, np.diag([0.1, 0.0, 0.0]))
-    ab = fault_stamp("ab", 0.5, 10.0)
+    ab = normalized_stamp("ab") / (0.5 * 10.0)
     assert np.allclose(ab, [[0.2, -0.2, 0], [-0.2, 0.2, 0], [0, 0, 0]])
-
-
-def test_bolted_stamp_rejected():
-    with pytest.raises(BoltedFaultError):
-        fault_stamp("ag", 0.0, 10.0)
 
 
 @pytest.mark.parametrize("eta", FAULT_TYPES)
@@ -132,7 +129,7 @@ def test_fault_spec_validation():
 
 def test_sg_columns_replaced_by_identity(net):
     sys = assemble_y(net, 0.5)
-    inc = assemble_incremental(net, sys, fault_stamp("ag", 1.0, 1.0), 0.5)
+    inc = assemble_incremental(net, sys, normalized_stamp("ag") / (1.0 * 1.0), 0.5)
     for bus in net.buses_with_role(BusRole.SG):
         blk = sys.block(bus.id)
         col = inc.y_lhs[:, blk].copy()
@@ -143,7 +140,7 @@ def test_sg_columns_replaced_by_identity(net):
 
 def test_f_rows_are_y_plus_stamp(net):
     sys = assemble_y(net, 0.5)
-    stamp = fault_stamp("bc", 0.5, 2.0)
+    stamp = normalized_stamp("bc") / (0.5 * 2.0)
     inc = assemble_incremental(net, sys, stamp, 0.5)
     assert np.allclose(inc.y_lhs[0:3, 0:3], sys.y[0:3, 0:3] + stamp)
     assert np.allclose(inc.y_rhs[0:3, :], -stamp)
@@ -162,7 +159,8 @@ def test_solve_identity_system():
 @pytest.mark.parametrize("eta", FAULT_TYPES)
 def test_omega_satisfies_defining_equation(net, eta):
     sys = assemble_y(net, 0.37)
-    inc = assemble_incremental(net, sys, fault_stamp(eta, 0.6, net.r_fault_max), 0.37)
+    stamp = normalized_stamp(eta) / (0.6 * net.r_fault_max)
+    inc = assemble_incremental(net, sys, stamp, 0.37)
     omega = solve_omega(inc)
     res = np.abs(inc.y_lhs @ omega - inc.y_rhs).max()
     assert res <= 1e-12 * max(np.abs(inc.y_rhs).max(), 1.0)
@@ -174,7 +172,7 @@ def test_incremental_solution_matches_simulator(net):
     sim = simulate(net, fault)
     sys = assemble_y(net, 0.5)
     inc = assemble_incremental(
-        net, sys, fault_stamp("ag", 1.0, net.r_fault_max), 0.5
+        net, sys, normalized_stamp("ag") / (1.0 * net.r_fault_max), 0.5
     )
     omega = solve_omega(inc)
     v_f_pre = sim.prefault.v("F").as_array()
@@ -193,7 +191,7 @@ def test_sg_current_rows_match_simulator(net):
     sim = simulate(net, fault)
     sys = assemble_y(net, 0.4)
     inc = assemble_incremental(
-        net, sys, fault_stamp("bc", 0.8, net.r_fault_max), 0.4
+        net, sys, normalized_stamp("bc") / (0.8 * net.r_fault_max), 0.4
     )
     x = solve_omega(inc) @ sim.prefault.v("F").as_array()
     for bus in net.buses_with_role(BusRole.SG):
@@ -217,7 +215,10 @@ def test_vanishing_conductance_limit(net):
 
 
 @given(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from(FAULT_TYPES))
-def test_stamp_scaling_is_linear_in_conductance(m_f, eta):
-    base = normalized_stamp(eta)
-    s = fault_stamp(eta, m_f, 3.0)
-    assert np.allclose(s, base / (m_f * 3.0), rtol=1e-12, atol=0.0)
+def test_stamp_scaling_is_linear_in_conductance(net, m_f, eta):
+    # Omega sees the fault resistance only through the branch conductance
+    # 1/(m_f r_f): halving m_f and doubling r_f leaves it unchanged
+    cache = OmegaCache(net)
+    a = cache.omegas(eta, [0.37], [m_f], 3.0)
+    b = cache.omegas(eta, [0.37], [m_f / 2.0], 6.0)
+    assert np.allclose(a, b, rtol=1e-12, atol=0.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incrrelay import (
+    FAULT_TYPES,
     FaultSpec,
     contains,
     convex_hull,
@@ -17,13 +18,13 @@ from incrrelay import (
     grid_paper22,
     grid_perimeter,
     hull_characteristic,
+    loop_quantities,
     parallelogram,
-    remote_current,
     simulate,
 )
 from incrrelay.characteristics import _cross
-from incrrelay.incremental import OmegaCache, build_omega_map
-from incrrelay.loops import fault_resistance_direction
+from incrrelay.incremental import OmegaCache, prefault_vector
+from incrrelay.loops import apparent_impedances
 
 
 def _exact_open_halfplane(p: complex, others) -> bool:
@@ -253,15 +254,33 @@ def test_hull_monotone_under_grid_refinement(net, window_ag):
 
 def test_parallelogram_is_minkowski_sum(net, window_ag):
     ch = parallelogram(net, "ag", window_ag, (0.5, 1.0))
-    f = FaultSpec("ag", 0.5, 1.0, net.r_fault_max)
-    sigma = remote_current(build_omega_map(net, f), window_ag)
-    w = fault_resistance_direction(
-        "ag", window_ag, net.protected, sigma, net.r_fault_max
-    )
+    r_f = net.r_fault_max
+    omega = OmegaCache(net).omegas("ag", [0.5], [1.0], r_f)[0]
+    sigma = omega @ prefault_vector(window_ag)
+    w = apparent_impedances("ag", window_ag, net.protected, sigma, 0.0, 1.0, r_f)
     z = net.protected.z1
     want = {a * z + b * w for a in (0.0, 1.0) for b in (0.0, 1.0)}
     assert set(ch.vertices) == want
     assert len(ch.vertices) == 4
+
+
+@pytest.mark.parametrize("eta", FAULT_TYPES)
+def test_parallelogram_matches_the_simulator(net, eta):
+    # with the window simulated at m_hat itself, the frozen remote current is
+    # exact there, so m_t z1 + m_f w is the simulator's v_A / i_A and the
+    # parallelogram is {0, z1, w, z1 + w} with w taken from the simulator
+    z1 = net.protected.z1
+    cache = OmegaCache(net)
+    for m_t, m_f in ((0.5, 1.0), (0.2, 0.4), (0.9, 0.7)):
+        window = simulate(net, FaultSpec(eta, m_t, m_f, net.r_fault_max)).window
+        lq = loop_quantities(eta, window, net.protected)
+        w = (lq.v_a / lq.i_a - m_t * z1) / m_f
+        want = (0j, z1, w, z1 + w)
+        got = parallelogram(net, eta, window, (m_t, m_f), cache).vertices
+        assert len(got) == 4
+        for a, b in ((want, got), (got, want)):
+            for v in a:
+                assert min(abs(v - u) for u in b) <= 1e-9 * abs(z1), (m_t, m_f)
 
 
 def test_parallelogram_opposite_edges_equal(net, window_ab):
@@ -282,9 +301,7 @@ def test_degenerate_resistance_direction(net, window_ag, monkeypatch):
     # force w = 0: the characteristic collapses to the line segment [0, z]
     import incrrelay.characteristics as chmod
 
-    monkeypatch.setattr(
-        chmod, "fault_resistance_direction", lambda *a, **k: 0j
-    )
+    monkeypatch.setattr(chmod, "apparent_impedances", lambda *a, **k: 0j)
     ch = parallelogram(net, "ag", window_ag, (0.5, 1.0))
     assert ch.meta.get("degenerate") is True
     assert ch.vertices == (0j, net.protected.z1)

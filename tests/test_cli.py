@@ -5,7 +5,7 @@ import json
 import pytest
 import yaml
 
-from incrrelay import FAULT_TYPES, contains, fourbus_path
+from incrrelay import FAULT_TYPES, contains, fourbus_path, parallelogram
 from incrrelay.characteristics import Characteristic
 
 from test_characteristics import oracle_hull
@@ -151,21 +151,36 @@ def test_invalid_network_is_validation_error(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
-def test_bad_grid_spec_is_usage_error(tmp_path):
-    rc = main(
-        [
-            "characteristic",
-            "--network",
-            NET,
-            "--fault",
-            "ag",
-            "--grid",
-            "dense:foo",
-            "--out",
-            str(tmp_path / "x"),
-        ]
+def test_bad_grid_spec_is_usage_error(tmp_path, capsys):
+    # a grid with no point in it is as malformed as one that does not parse
+    for spec in ("dense:foo", "dense:0x5", "dense:5x0", "dense:-3x4", "perimeter:0"):
+        rc = main(
+            [
+                "characteristic",
+                "--network",
+                NET,
+                "--fault",
+                "ag",
+                "--grid",
+                spec,
+                "--out",
+                str(tmp_path / "x"),
+            ]
+        )
+        assert rc == EXIT_USAGE, spec
+        assert repr(spec) in capsys.readouterr().err
+        assert main(["verify", "--fault", "ag", "--grid", spec]) == EXIT_USAGE, spec
+
+
+@pytest.mark.parametrize("spec", ["dense:5x1", "dense:1x1"])
+def test_verify_grid_without_resistive_points_is_a_validation_error(spec, capsys):
+    # every point is bolted (m_f = 0), which verify does not check
+    assert main(["verify", "--fault", "ag", "--grid", spec]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation error: grid {spec!r} has no resistive point (m_f > 0) to verify\n"
     )
-    assert rc == EXIT_USAGE
 
 
 def test_verify_passes_on_bundled_fixture(tmp_path, capsys):
@@ -308,12 +323,19 @@ def test_csv_json_round_trip_precision(tmp_path):
         assert row["m_t"] == entry["m_t"]
 
 
-def test_eps_env_override(tmp_path, monkeypatch):
+def test_eps_env_override(tmp_path, monkeypatch, net, window_ag):
     monkeypatch.setenv("INCRRELAY_EPS", "0.01")
     from incrrelay import config
 
     assert config.eps() == 0.01
-    assert config.clamp_location(0.0) == 0.01
+    out = tmp_path / "c"
+    argv = ["characteristic", "--fault", "ag", "--grid", "corners4", "--out", str(out)]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "c.json").read_text())
+    assert [p["m_t"] for p in doc["cloud"]] == [0.01, 0.01, 0.99, 0.99]
+    for m_t, clamped in ((0.0, 0.01), (1.0, 0.99)):
+        para = parallelogram(net, "ag", window_ag, (m_t, 1.0))
+        assert para.meta["m_hat"] == (clamped, 1.0)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.7", "nan", "inf", "1e-3x"])

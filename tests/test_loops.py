@@ -8,25 +8,35 @@ from incrrelay import (
     FaultSpec,
     Line,
     MeasurementWindow,
+    OmegaCache,
     Phasor3,
-    apparent_impedance,
-    build_omega_map,
-    incremental_apparent_impedance,
+    exact_sampled,
     loop_quantities,
-    remote_current,
     simulate,
 )
+from incrrelay.incremental import prefault_vector
 from incrrelay.loops import (
-    DegenerateDenominatorError,
     LOOP_FOR_FAULT,
     UnenergizedLoopError,
+    apparent_impedances,
     compensation_factor,
-    fault_resistance_direction,
 )
 from incrrelay.phasors import ALPHA
 
 # k = z0/z1 - 1 = 1 for this line
 K1_LINE = Line("l", "a", "b", 1j, 2j)
+
+
+def _sigma(net, f: FaultSpec, window) -> np.ndarray:
+    """Remote current at one fault point: its row of the Omega stack."""
+    omega = OmegaCache(net).omegas(f.eta, f.m_t, f.m_f, f.r_f)[0]
+    return omega @ prefault_vector(window)
+
+
+def _z(net, f: FaultSpec, window, sigma) -> complex:
+    return apparent_impedances(
+        f.eta, window, net.protected, sigma, f.m_t, f.m_f, f.r_f
+    )
 
 
 def _window(v_now, i_now):
@@ -61,22 +71,14 @@ def test_fault_loop_assignment():
     assert LOOP_FOR_FAULT["abc"] == "ab"
 
 
-def test_bolted_fault_is_exact(net):
-    f = FaultSpec("ag", 0.7, 0.0, net.r_fault_max)
-    z = apparent_impedance("ag", None, net.protected, None, f)
+def test_bolted_fault_is_exact(net, window_ag):
+    (z,) = exact_sampled(net, "ag", window_ag, [(0.7, 0.0)]).samples
     assert z == 0.7 * net.protected.z1
 
 
-def test_close_in_bolted_fault_is_near_zero(net):
-    f = FaultSpec("ab", 1e-6, 0.0, net.r_fault_max)
-    z = apparent_impedance("ab", None, net.protected, None, f)
+def test_close_in_bolted_fault_is_near_zero(net, window_ab):
+    (z,) = exact_sampled(net, "ab", window_ab, [(1e-6, 0.0)]).samples
     assert abs(z) <= 1e-6 * abs(net.protected.z1) * (1 + 1e-12)
-
-
-def test_sigma_required_for_resistive_fault(net, window_ag):
-    f = FaultSpec("ag", 0.5, 0.5, net.r_fault_max)
-    with pytest.raises(ValueError):
-        apparent_impedance("ag", window_ag, net.protected, None, f)
 
 
 @pytest.mark.parametrize("eta", FAULT_TYPES)
@@ -84,8 +86,7 @@ def test_closure_formula_equals_measured_ratio(net, eta):
     # oracle: v_A / i_A computed purely from simulator measurements
     f = FaultSpec(eta, 0.5, 1.0, net.r_fault_max)
     sim = simulate(net, f)
-    sigma = remote_current(build_omega_map(net, f), sim.window)
-    z = apparent_impedance(eta, sim.window, net.protected, sigma, f)
+    z = _z(net, f, sim.window, _sigma(net, f, sim.window))
     lq = loop_quantities(eta, sim.window, net.protected)
     want = lq.v_a / lq.i_a
     assert abs(z - want) <= 1e-9 * abs(want)
@@ -93,29 +94,25 @@ def test_closure_formula_equals_measured_ratio(net, eta):
 
 @pytest.mark.parametrize("eta", FAULT_TYPES)
 def test_incremental_closure(net, eta):
+    # the incremental loop ratio from the formula's fault-point loop voltage
+    # (z - m_t z1) i_A, less its prefault value, which the prefault half of
+    # the window gives
     f = FaultSpec(eta, 0.3, 0.8, net.r_fault_max)
     sim = simulate(net, f)
-    sigma = remote_current(build_omega_map(net, f), sim.window)
-    z = incremental_apparent_impedance(eta, sim.window, net.protected, sigma, f)
+    z = _z(net, f, sim.window, _sigma(net, f, sim.window))
     lq = loop_quantities(eta, sim.window, net.protected)
+    drop = f.m_t * net.protected.z1
+    v_f_prev = (lq.v_a - lq.v_a_inc) - drop * (lq.i_a - lq.i_a_inc)
+    got = drop + ((z - drop) * lq.i_a - v_f_prev) / lq.i_a_inc
     want = lq.v_a_inc / lq.i_a_inc
-    assert abs(z - want) <= 1e-9 * abs(want)
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_prefault_loop_balance(net, scenario_ag):
     # the cancellation the derivation rests on: i_L + i_R = 0 before the fault
-    total = scenario_ag.window.i_prev + scenario_ag.remote_window.i_prev
-    assert total.norm() <= 1e-10 * scenario_ag.window.i_prev.norm()
-
-
-def test_healthy_window_is_degenerate(net, window_ag):
-    healthy = MeasurementWindow(
-        window_ag.v_prev, window_ag.i_prev, window_ag.v_prev, window_ag.i_prev
-    )
-    f = FaultSpec("ag", 0.5, 0.5, net.r_fault_max)
-    sigma = Phasor3.zero()
-    with pytest.raises(DegenerateDenominatorError):
-        incremental_apparent_impedance("ag", healthy, net.protected, sigma, f)
+    i_l = scenario_ag.window.i_prev.as_array()
+    total = i_l + scenario_ag.remote_window.i_prev.as_array()
+    assert np.linalg.norm(total) <= 1e-10 * np.linalg.norm(i_l)
 
 
 def test_unenergized_loop_raises(net):
@@ -123,7 +120,7 @@ def test_unenergized_loop_raises(net):
     dead = MeasurementWindow(z, z, z, z)
     f = FaultSpec("ag", 0.5, 0.5, net.r_fault_max)
     with pytest.raises(UnenergizedLoopError):
-        apparent_impedance("ag", dead, net.protected, Phasor3.zero(), f)
+        _z(net, f, dead, np.zeros(3))
 
 
 def test_phase_permutation_covariance(net):
@@ -133,8 +130,8 @@ def test_phase_permutation_covariance(net):
 
     f_ag = FaultSpec("ag", 0.5, 1.0, net.r_fault_max)
     sim = simulate(net, f_ag)
-    sigma = remote_current(build_omega_map(net, f_ag), sim.window)
-    z_ag = apparent_impedance("ag", sim.window, net.protected, sigma, f_ag)
+    sigma = _sigma(net, f_ag, sim.window)
+    z_ag = _z(net, f_ag, sim.window, sigma)
 
     w_rot = MeasurementWindow(
         rot(sim.window.v_prev),
@@ -143,7 +140,7 @@ def test_phase_permutation_covariance(net):
         rot(sim.window.i_now),
     )
     f_bg = FaultSpec("bg", 0.5, 1.0, net.r_fault_max)
-    z_bg = apparent_impedance("bg", w_rot, net.protected, rot(sigma), f_bg)
+    z_bg = _z(net, f_bg, w_rot, sigma[[2, 0, 1]])
     assert abs(z_ag - z_bg) <= 1e-12 * abs(z_ag)
 
 
@@ -151,10 +148,9 @@ def test_resistance_direction_consistency(net):
     # with sigma frozen, z_A(m) = m_t * z1 + m_f * w must hold exactly
     f = FaultSpec("ag", 0.5, 1.0, net.r_fault_max)
     sim = simulate(net, f)
-    sigma = remote_current(build_omega_map(net, f), sim.window)
-    w_dir = fault_resistance_direction(
-        "ag", sim.window, net.protected, sigma, net.r_fault_max
-    )
-    z = apparent_impedance("ag", sim.window, net.protected, sigma, f)
+    sigma = _sigma(net, f, sim.window)
+    # the parallelogram's direction: the same formula at m_t = 0, m_f = 1
+    w_dir = _z(net, FaultSpec("ag", 0.0, 1.0, f.r_f), sim.window, sigma)
+    z = _z(net, f, sim.window, sigma)
     want = f.m_t * net.protected.z1 + f.m_f * w_dir
     assert abs(z - want) <= 1e-12 * abs(z)

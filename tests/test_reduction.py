@@ -5,17 +5,17 @@ system and the simulator's remote current and apparent impedance, on the
 bundled network and on seeded generated radial and meshed networks.
 """
 
-from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from incrrelay import FAULT_TYPES, FaultSpec, fourbus_path, parse_network, verify_pipeline
-from incrrelay.admittance import FaultRangeError, SingularSystemError, fault_stamp
+import incrrelay.incremental as incremental_mod
+from incrrelay import FAULT_TYPES, FaultSpec, fourbus_path, parse_network, verify_grid
+from incrrelay.admittance import FaultRangeError, SingularSystemError, normalized_stamp
 from incrrelay.cli import BALANCE_THRESHOLD, SIGMA_THRESHOLD, Z_A_THRESHOLD
 from incrrelay.config import DEFAULT_EPS
-from incrrelay.incremental import OmegaCache, build_omega_map
+from incrrelay.incremental import OmegaCache
 from incrrelay.network import BusRole, phase_impedance
 
 from dense_oracle import assemble_incremental, assemble_y, remote_kcl_rows, solve_omega
@@ -39,7 +39,7 @@ NETWORKS = dict(_networks())
 def dense_omega(net, fault: FaultSpec) -> np.ndarray:
     """3x6 Omega from the full 3(n+1) faulted system (the reference path)."""
     faulted = assemble_y(net, fault.m_t)
-    stamp = fault_stamp(fault.eta, fault.m_f, fault.r_f)
+    stamp = normalized_stamp(fault.eta) / (fault.m_f * fault.r_f)
     omega = solve_omega(assemble_incremental(net, faulted, stamp, fault.m_t))
     window_map = np.hstack([np.eye(3), -fault.m_t * phase_impedance(net.protected)])
     return remote_kcl_rows(net, faulted.offsets) @ omega @ window_map
@@ -71,9 +71,9 @@ def test_reduced_omega_matches_dense_and_simulator(name):
             dense = dense_omega(net, fault)
             err = np.linalg.norm(stack[k] - dense) / np.linalg.norm(dense)
             assert err <= 1e-9, f"{eta} {fault}: Omega rel err {err:.3e}"
-            single = build_omega_map(net, fault).omega
+            single = cache.omegas(eta, m_t[k], m_f[k], net.r_fault_max)[0]
             assert np.allclose(single, stack[k], rtol=1e-13, atol=0.0)
-            rep = verify_pipeline(net, fault)
+            (rep,) = verify_grid(net, [fault], cache)
             assert rep.sigma_rel_err <= SIGMA_THRESHOLD, f"{eta} {fault}"
             assert rep.z_a_rel_err <= Z_A_THRESHOLD, f"{eta} {fault}"
             assert rep.prefault_balance_residual <= BALANCE_THRESHOLD, f"{eta} {fault}"
@@ -87,6 +87,10 @@ def test_location_clamp_enforced_on_the_stack(net):
         cache.omegas("ag", [1.0], [1.0], net.r_fault_max)
     with pytest.raises(FaultRangeError):
         cache.omegas("ag", [float("nan")], [1.0], net.r_fault_max)
+    # m_f = 0 is bolted and has no Omega; the others lie outside (0, 1]
+    for m_f in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"grid point \(m_t=0\.25, m_f={m_f}\)"):
+            cache.omegas("abcg", [0.5, 0.25], [1.0, m_f], net.r_fault_max)
 
 
 def test_floating_network_has_no_terminal_reduction():
@@ -109,8 +113,6 @@ relay: {line: main, local: a, remote: b, r_fault_max: 1.0}
 def test_singular_fault_system_names_the_grid_point(monkeypatch):
     # with Z_T = 0, Z_l = I and S = -I the fault system is
     # (m_f r_f - m(1-m)) I, singular at m = 0.5 when m_f r_f = 0.25
-    # the package attribute ``incremental`` is the phasor function
-    incremental_mod = import_module("incrrelay.incremental")
     monkeypatch.setattr(incremental_mod, "normalized_stamp", lambda eta: -np.eye(3))
     with pytest.raises(SingularSystemError, match=r"m_t=0\.5, m_f=1\.0"):
         incremental_mod.omega_stack(

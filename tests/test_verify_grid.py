@@ -19,20 +19,24 @@ import pytest
 from incrrelay import (
     FAULT_TYPES,
     FaultSpec,
+    config,
     OmegaCache,
     simulate,
     simulate_many,
     verify_grid,
-    verify_pipeline,
 )
 from incrrelay.cli import BALANCE_THRESHOLD, SIGMA_THRESHOLD, Z_A_THRESHOLD, main
-from incrrelay.config import clamp_location
 
 from test_reduction import NETWORKS
 
 # both clamp ends and the interior; verify checks resistive points only
 M_T = (0.0, 0.37, 1.0)
 M_F = (0.35, 1.0)
+
+
+def clamp_location(m_t: float) -> float:
+    e = config.eps()
+    return min(max(m_t, e), 1.0 - e)
 
 
 def _grid(net, eta, m_fs=M_F):
@@ -81,7 +85,7 @@ def test_stack_states_are_the_single_point_states(net):
 def test_single_point_verify_is_the_grid_row(net):
     faults = _grid(net, "acg", (0.0,) + M_F)
     for fault, rep in zip(faults, verify_grid(net, faults)):
-        single = verify_pipeline(net, fault)
+        (single,) = verify_grid(net, [fault])
         assert single.fault == rep.fault
         # the simulator states are identical; the loop projections of a
         # stack may round differently in the last bit
@@ -215,19 +219,20 @@ def _numpy1_solve(real_solve):
 def test_results_do_not_depend_on_the_numpy_solve_convention(net, monkeypatch):
     cache = OmegaCache(net)
     points = [_grid(net, eta) for eta in FAULT_TYPES]  # six points each
+    one = points[0][1]
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             rc = main(["verify", "--fault", "all", "--grid", "dense:4x3"])
         reports = [verify_grid(net, faults, cache) for faults in points]
-        reports += [[verify_pipeline(net, faults[0])] for faults in points]
+        reports += [verify_grid(net, faults[:1]) for faults in points]
         arrays = [
             cache.omegas(eta, [0.5] * k, [1.0] * k, net.r_fault_max)
             for eta in FAULT_TYPES
             for k in (1, 2, 5)
         ]
         arrays += [
-            cache.omega_map(points[0][1]).omega,
+            cache.omegas(one.eta, one.m_t, one.m_f, one.r_f)[0],
             simulate_many(net, points[4] + [None]).v_post,
         ]
         return rc, out.getvalue(), reports, arrays
