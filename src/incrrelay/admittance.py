@@ -44,10 +44,6 @@ FAULT_BRANCHES: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] =
 }
 
 
-class FaultRangeError(ValueError):
-    """Fault location outside the clamped range [eps, 1-eps]."""
-
-
 class SingularSystemError(np.linalg.LinAlgError):
     """The incremental network or a fault system is singular."""
 
@@ -66,10 +62,13 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault type {self.eta!r}; expected one of {FAULT_TYPES}"
             )
+        # the comparisons are false for NaN, so NaN is rejected too
+        if not 0.0 <= self.m_t <= 1.0:
+            raise ValueError(f"m_t must lie in [0, 1], got {self.m_t}")
         if not 0.0 <= self.m_f <= 1.0:
             raise ValueError(f"m_f must lie in [0, 1], got {self.m_f}")
-        if self.r_f <= 0.0:
-            raise ValueError(f"r_f must be positive, got {self.r_f}")
+        if not 0.0 < self.r_f < float("inf"):
+            raise ValueError(f"r_f must be finite and positive, got {self.r_f}")
 
 
 def normalized_stamp(eta: str) -> np.ndarray:

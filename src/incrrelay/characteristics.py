@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import config
 from .admittance import FAULT_TYPES
 from .incremental import OmegaCache, prefault_vector
 from .loops import UnenergizedLoopError, apparent_impedances
@@ -88,13 +87,13 @@ def exact_sampled(
     cache = cache or OmegaCache(net)
     line = net.protected
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
-    e = config.eps()
-    m_t = np.clip(pts[:, 0], e, 1.0 - e)
-    m_f = pts[:, 1]
-    bad = ~((m_f >= 0.0) & (m_f <= 1.0))
+    m_t, m_f = pts.T
+    bad = ~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)  # NaN is outside too
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(f"m_f must lie in [0, 1], got {m_f[k]} at grid point {k}")
+        raise ValueError(
+            f"grid point {k} (m_t={m_t[k]}, m_f={m_f[k]}) outside [0, 1] x [0, 1]"
+        )
     z = m_t * line.z1  # bolted points (m_f = 0) read the line fraction
     res = m_f != 0.0
     if res.any():
@@ -136,11 +135,7 @@ def parallelogram(
     """
     if eta not in FAULT_TYPES:
         raise ValueError(f"unknown fault type {eta!r}; expected one of {FAULT_TYPES}")
-    e = config.eps()
-    m_t_hat = min(max(m_hat[0], e), 1.0 - e)
-    m_f_hat = m_hat[1]
-    if not 0.0 < m_f_hat <= 1.0:
-        raise ValueError(f"m_f_hat must lie in (0, 1], got {m_f_hat}")
+    m_t_hat, m_f_hat = m_hat  # omegas rejects them outside [0, 1] x (0, 1]
     line = net.protected
     r_f = net.r_fault_max
     omega = (cache or OmegaCache(net)).omegas(eta, m_t_hat, m_f_hat, r_f)[0]

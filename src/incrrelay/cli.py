@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import config, fourbus_path
+from . import fourbus_path
 from .admittance import FAULT_TYPES, FaultSpec
 from .characteristics import (
     Characteristic,
@@ -338,17 +338,15 @@ def cmd_verify(args) -> int:
     faults = _parse_faults(args.fault)
     grid = _parse_grid(args.grid)
 
-    # the grid is clamped once; every point of the command is one stack
+    # every point of the command, all fault types, is one stack
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
     pts = pts[pts[:, 1] != 0.0]
     if not len(pts):
         raise ValueError(f"grid {args.grid!r} has no resistive point (m_f > 0) to verify")
-    e = config.eps()
-    locations = list(zip(np.clip(pts[:, 0], e, 1.0 - e).tolist(), pts[:, 1].tolist()))
     points = [
         FaultSpec(eta, m_t, m_f, net.r_fault_max)
         for eta in faults
-        for m_t, m_f in locations
+        for m_t, m_f in pts.tolist()
     ]
     rows = []
     failed = False

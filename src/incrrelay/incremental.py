@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import config
-from .admittance import FaultRangeError, SingularSystemError, normalized_stamp
+from .admittance import SingularSystemError, normalized_stamp
 from .network import BusRole, NetworkModel, phase_impedance
 from .phasors import MeasurementWindow
 
@@ -86,18 +86,17 @@ def omega_stack(
     Both are polynomials in m with constant 3x3 coefficients, so only the
     fault solve is a stacked matrix operation.
     """
-    e = config.eps()
-    outside = ~((m_t >= e) & (m_t <= 1.0 - e))  # NaN is outside too
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise FaultRangeError(
-            f"m_t={m_t[k]} outside the clamped range [{e}, {1.0 - e}]"
-        )
-    outside = ~((m_f > 0.0) & (m_f <= 1.0))
-    if outside.any():
-        k = int(np.argmax(outside))
+    # every comparison is false for NaN, so NaN is outside too
+    inside = (
+        (m_t >= 0.0) & (m_t <= 1.0) & (m_f > 0.0) & (m_f <= 1.0)
+        & (r_f > 0.0) & (r_f < np.inf)
+    )
+    if not inside.all():
+        k = int(np.argmin(inside))
         raise ValueError(
-            f"m_f outside (0, 1] at grid point (m_t={m_t[k]}, m_f={m_f[k]})"
+            "fault point outside m_t in [0, 1], m_f in (0, 1], r_f in (0, inf) "
+            f"at grid point (m_t={m_t[k]}, m_f={m_f[k]}, "
+            f"r_f={np.broadcast_to(r_f, m_t.shape)[k]})"
         )
     m = m_t[:, None, None]
     z_ll, z_lr = z_t[0:3, 0:3], z_t[0:3, 3:6]
@@ -160,4 +159,5 @@ class OmegaCache:
         """
         m_t = np.asarray(m_t, dtype=float).reshape(-1)
         m_f = np.asarray(m_f, dtype=float).reshape(-1)
+        r_f = np.asarray(r_f, dtype=float)
         return omega_stack(self.z_t, self.z_line, eta, m_t, m_f, r_f)

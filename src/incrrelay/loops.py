@@ -83,26 +83,15 @@ def loop_quantities(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantitie
     )
 
 
-def _fault_voltage_row(eta: str) -> np.ndarray:
-    row = PSI[LOOP_FOR_FAULT[eta]] @ np.linalg.pinv(normalized_stamp(eta))
-    row.setflags(write=False)
-    return row
-
-
-_FAULT_VOLTAGE_ROWS = {eta: _fault_voltage_row(eta) for eta in FAULT_TYPES}
-
-
-def fault_voltage_row(eta: str) -> np.ndarray:
-    """Row vector c with psi_loop . v_F = m_f*r_f * (c . i_F).
-
-    i_F is the total current into the fault network, and c projects it back
-    to the loop voltage through the pseudoinverse of the normalized stamp.
-    The loop selector lies in the stamp's range for the matching loop, so the
-    projection is well defined. The 11 rows are computed once, at import.
-    """
-    if eta not in FAULT_TYPES:
-        raise ValueError(f"unknown fault type {eta!r}")
-    return _FAULT_VOLTAGE_ROWS[eta]
+# Row c per fault type with psi_loop . v_F = m_f*r_f * (c . i_F): i_F is the
+# total current into the fault network, and c projects it back to the loop
+# voltage through the pseudoinverse of the normalized stamp. The loop selector
+# lies in the stamp's range for the matching loop, so the projection is well
+# defined.
+_FAULT_VOLTAGE_ROWS = {
+    eta: PSI[LOOP_FOR_FAULT[eta]] @ np.linalg.pinv(normalized_stamp(eta))
+    for eta in FAULT_TYPES
+}
 
 
 def apparent_impedances(
@@ -129,5 +118,5 @@ def apparent_impedances(
             f"loop {LOOP_FOR_FAULT[eta]} current |{i_a[np.argmax(low)]:.3e}| below floor"
         )
     phi = (phase_array(w.i_now) - phase_array(w.i_prev)) + sigma
-    num = phi @ fault_voltage_row(eta)
+    num = phi @ _FAULT_VOLTAGE_ROWS[eta]
     return m_t * line.z1 + m_f * r_f * num / lq.i_a

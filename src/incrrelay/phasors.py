@@ -7,9 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rotation operator for balanced sets: phase b lags a by 120 degrees.
-ALPHA = cmath.exp(2j * cmath.pi / 3)
-
 # Fault-loop row selectors, phase order (a, b, c). Line-to-line selectors for
 # bc and ca are cyclic permutations of ab.
 PSI = {
@@ -45,15 +42,6 @@ class Phasor3:
     def from_array(cls, arr) -> "Phasor3":
         a, b, c = np.asarray(arr, dtype=complex).reshape(3)
         return cls(a, b, c)
-
-    @classmethod
-    def balanced(cls, ref: complex) -> "Phasor3":
-        """Positive-sequence set with phase a equal to ``ref``."""
-        return cls(ref, ref * ALPHA**2, ref * ALPHA)
-
-    @classmethod
-    def zero(cls) -> "Phasor3":
-        return cls(0j, 0j, 0j)
 
 
 @dataclass(frozen=True)

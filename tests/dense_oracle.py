@@ -15,8 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from incrrelay import config
-from incrrelay.admittance import FaultRangeError, SingularSystemError
+from incrrelay.admittance import SingularSystemError
 from incrrelay.network import BusRole, NetworkModel, phase_impedance
+
+# The segment stamps are 1/m_t and 1/(1-m_t), so this formulation needs the
+# fault location kept this far from both line ends.
+EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,8 @@ def assemble_y(net: NetworkModel, m_t: float) -> FaultedSystem:
     protected line stamps two segments, local--F and F--remote. Shunt terms
     are deliberately absent (they enter the incremental left-hand side).
     """
-    e = config.eps()
-    if not e <= m_t <= 1.0 - e:
-        raise FaultRangeError(
-            f"m_t={m_t} outside the clamped range [{e}, {1.0 - e}]"
-        )
+    if not EPS <= m_t <= 1.0 - EPS:
+        raise ValueError(f"m_t={m_t} outside the clamped range [{EPS}, {1.0 - EPS}]")
     order = block_order(net)
     offsets = {bus_id: 3 * (k + 1) for k, bus_id in enumerate(order)}
     offsets["F"] = 0
@@ -141,7 +142,7 @@ def assemble_incremental(
 def _refined_solve(a: np.ndarray, b: np.ndarray, iters: int = 2) -> np.ndarray:
     """Solve a x = b (both 2-D) with iterative refinement.
 
-    The clamped locations put admittances of order 1/eps into ``a``, so a
+    The clamped locations put admittances of order 1/EPS into ``a``, so a
     plain double-precision solve loses about cond * ulp; two refinement
     steps with the residual in extended precision recover the digits.
     """

@@ -12,7 +12,6 @@ import pytest
 from incrrelay import (
     FAULT_TYPES,
     FaultSpec,
-    config,
     contains,
     convex_hull,
     exact_sampled,
@@ -40,11 +39,10 @@ def _verdict(num, name, ok, detail):
 def grid_reports(net):
     """Verification reports over all 11 fault types and the 5x5 grid."""
     t0 = time.perf_counter()
-    e = config.eps()
     reports = verify_grid(
         net,
         [
-            FaultSpec(eta, min(max(m_t, e), 1.0 - e), m_f, net.r_fault_max)
+            FaultSpec(eta, m_t, m_f, net.r_fault_max)
             for eta in FAULT_TYPES
             for m_t in M_T_GRID
             for m_f in M_F_GRID
@@ -80,9 +78,8 @@ def test_criterion_2_fault_loop_closure(grid_reports):
 
 
 def test_criterion_3_bolted_fault_degeneracy(net, window_ag):
-    e = 1e-6
     worst = 0.0
-    m_ts = (e, 0.25, 0.5, 0.75, 1.0 - e)
+    m_ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     for eta in FAULT_TYPES:
         cloud = exact_sampled(net, eta, window_ag, [(m_t, 0.0) for m_t in m_ts])
         for m_t, z in zip(m_ts, cloud.samples):

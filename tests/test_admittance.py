@@ -13,7 +13,7 @@ from incrrelay import (
     phase_impedance,
     simulate,
 )
-from incrrelay.admittance import FAULT_BRANCHES, FaultRangeError, normalized_stamp
+from incrrelay.admittance import FAULT_BRANCHES, normalized_stamp
 from incrrelay.network import BusRole
 
 from dense_oracle import IncrementalSystem, assemble_incremental, assemble_y, solve_omega
@@ -89,9 +89,10 @@ def test_assemble_symmetric(net):
 
 
 def test_location_clamp_enforced(net):
-    with pytest.raises(FaultRangeError):
+    # the dense oracle's 1/m_t stamps keep their own clamp
+    with pytest.raises(ValueError, match="clamped range"):
         assemble_y(net, 0.0)
-    with pytest.raises(FaultRangeError):
+    with pytest.raises(ValueError, match="clamped range"):
         assemble_y(net, 1.0)
     assemble_y(net, 1e-6)  # boundary is allowed
 
@@ -123,8 +124,15 @@ def test_fault_spec_validation():
         FaultSpec("xx", 0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         FaultSpec("ag", 0.5, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        FaultSpec("ag", 0.5, 0.5, 0.0)
+    for m_t in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="m_t must lie in"):
+            FaultSpec("ag", m_t, 0.5, 1.0)
+    for r_f in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="r_f must be finite and positive"):
+            FaultSpec("ag", 0.5, 0.5, r_f)
+    # the line ends are fault locations like any other
+    FaultSpec("ag", 0.0, 0.5, 1.0)
+    FaultSpec("ag", 1.0, 0.0, 1.0)
 
 
 def test_sg_columns_replaced_by_identity(net):

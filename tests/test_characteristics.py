@@ -215,17 +215,31 @@ def test_exact_sampled_bolted_row_is_collinear(net, window_ag):
     grid = [(t, 0.0) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     ch = exact_sampled(net, "ag", window_ag, grid)
     z1 = net.protected.z1
+    assert ch.meta["grid"] == grid
     for (m_t, _), z in zip(ch.meta["grid"], ch.samples):
         assert abs(z - m_t * z1) <= 1e-15
+    # the line ends read exactly 0 and z1
+    assert (ch.samples[0], ch.samples[-1]) == (0j, z1)
 
 
 def test_exact_sampled_annotates_failing_grid_point(net):
     from incrrelay import MeasurementWindow, Phasor3
 
-    z = Phasor3.zero()
+    z = Phasor3(0j, 0j, 0j)
     dead = MeasurementWindow(z, z, z, z)
     with pytest.raises(Exception, match=r"grid point \(m_t=0.5, m_f=0.5\)"):
         exact_sampled(net, "ag", dead, [(0.5, 0.5)])
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.1, float("nan")])
+def test_locations_off_the_line_are_rejected(net, window_ag, x):
+    # no clip: a point off [0, 1]^2 is an error, bolted or resistive
+    for grid in ([(0.5, 0.5), (x, 0.0)], [(x, 0.5)], [(0.5, x)]):
+        with pytest.raises(ValueError, match="outside"):
+            exact_sampled(net, "ag", window_ag, grid)
+    for m_hat in ((x, 1.0), (0.5, x)):
+        with pytest.raises(ValueError, match="outside"):
+            parallelogram(net, "ag", window_ag, m_hat)
 
 
 def test_paper22_hull_has_at_most_22_vertices(net, window_ag):
@@ -271,7 +285,7 @@ def test_parallelogram_matches_the_simulator(net, eta):
     # parallelogram is {0, z1, w, z1 + w} with w taken from the simulator
     z1 = net.protected.z1
     cache = OmegaCache(net)
-    for m_t, m_f in ((0.5, 1.0), (0.2, 0.4), (0.9, 0.7)):
+    for m_t, m_f in ((0.5, 1.0), (0.2, 0.4), (0.9, 0.7), (0.0, 0.6), (1.0, 1.0)):
         window = simulate(net, FaultSpec(eta, m_t, m_f, net.r_fault_max)).window
         lq = loop_quantities(eta, window, net.protected)
         w = (lq.v_a / lq.i_a - m_t * z1) / m_f

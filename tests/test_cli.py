@@ -323,30 +323,40 @@ def test_csv_json_round_trip_precision(tmp_path):
         assert row["m_t"] == entry["m_t"]
 
 
-def test_eps_env_override(tmp_path, monkeypatch, net, window_ag):
-    monkeypatch.setenv("INCRRELAY_EPS", "0.01")
-    from incrrelay import config
-
-    assert config.eps() == 0.01
+def test_line_end_locations_are_evaluated_exactly(tmp_path, net, window_ag, capsys):
+    # grid points and m_hat at m_t = 0 and 1 are evaluated where they are
+    z1 = net.protected.z1
     out = tmp_path / "c"
     argv = ["characteristic", "--fault", "ag", "--grid", "corners4", "--out", str(out)]
     assert main(argv + ["--format", "json"]) == EXIT_OK
     doc = json.loads((tmp_path / "c.json").read_text())
-    assert [p["m_t"] for p in doc["cloud"]] == [0.01, 0.01, 0.99, 0.99]
-    for m_t, clamped in ((0.0, 0.01), (1.0, 0.99)):
+    assert [p["m_t"] for p in doc["cloud"]] == [0.0, 0.0, 1.0, 1.0]
+    assert doc["cloud"][0]["z"] == [0.0, 0.0]
+    assert doc["cloud"][2]["z"] == [z1.real, z1.imag]
+    for m_t in (0.0, 1.0):
         para = parallelogram(net, "ag", window_ag, (m_t, 1.0))
-        assert para.meta["m_hat"] == (clamped, 1.0)
+        assert para.meta["m_hat"] == (m_t, 1.0)
+    for mhat in ("0,1", "1,0.5"):
+        argv = ["characteristic", "--mhat", mhat, "--out", str(tmp_path / "e")]
+        assert main(argv) == EXIT_OK, mhat
+    capsys.readouterr()
+    assert main(["simulate", "--fault", "ag", "--mhat", "0,1"]) == EXIT_OK
+    doc = yaml.safe_load(capsys.readouterr().out)
+    assert doc["kcl_residual_fault"] <= 1e-12
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.7", "nan", "inf", "1e-3x"])
-def test_invalid_eps_is_a_validation_error(value, monkeypatch, capsys):
-    monkeypatch.setenv("INCRRELAY_EPS", value)
-    rc = main(["verify", "--fault", "ag", "--grid", "dense:2x2"])
-    assert rc == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err == (
-        f"validation error: INCRRELAY_EPS={value!r} is not a finite number in (0, 0.5)\n"
-    )
+@pytest.mark.parametrize("m_t", ["-0.1", "1.1", "nan"])
+def test_location_off_the_line_is_a_validation_error(m_t, tmp_path, capsys):
+    for argv in (
+        ["characteristic", "--fault", "ag", "--out", str(tmp_path / "x")],
+        ["simulate", "--fault", "ag"],
+    ):
+        assert main(argv + [f"--mhat={m_t},1"]) == EXIT_VALIDATION, argv
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"validation error: m_t must lie in [0, 1], got {float(m_t)}\n"
+        ), argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, monkeypatch, capsys):

@@ -66,7 +66,7 @@ def test_omega_map_shape(net):
 
 
 def test_zero_window_gives_zero_sigma(net):
-    z = Phasor3.zero()
+    z = Phasor3(0j, 0j, 0j)
     w = MeasurementWindow(z, z, z, z)
     sigma = _sigma(net, FaultSpec("ab", 0.5, 1.0, net.r_fault_max), w)
     assert np.linalg.norm(sigma) == 0.0

@@ -5,6 +5,7 @@ system and the simulator's remote current and apparent impedance, on the
 bundled network and on seeded generated radial and meshed networks.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +13,17 @@ import pytest
 
 import incrrelay.incremental as incremental_mod
 from incrrelay import FAULT_TYPES, FaultSpec, fourbus_path, parse_network, verify_grid
-from incrrelay.admittance import FaultRangeError, SingularSystemError, normalized_stamp
+from incrrelay.admittance import SingularSystemError, normalized_stamp
 from incrrelay.cli import BALANCE_THRESHOLD, SIGMA_THRESHOLD, Z_A_THRESHOLD
-from incrrelay.config import DEFAULT_EPS
 from incrrelay.incremental import OmegaCache
 from incrrelay.network import BusRole, phase_impedance
 
-from dense_oracle import assemble_incremental, assemble_y, remote_kcl_rows, solve_omega
+from dense_oracle import EPS, assemble_incremental, assemble_y, remote_kcl_rows, solve_omega
 from netgen import random_network
 
-# both clamp ends and the interior, each with its own resistance fraction
-POINTS = ((DEFAULT_EPS, 0.35), (0.37, 1.0), (1.0 - DEFAULT_EPS, 0.7))
+# both ends of the dense oracle's clamp and the interior, each with its own
+# resistance fraction
+POINTS = ((EPS, 0.35), (0.37, 1.0), (1.0 - EPS, 0.7))
 SEEDS = range(24)
 
 
@@ -79,18 +80,31 @@ def test_reduced_omega_matches_dense_and_simulator(name):
             assert rep.prefault_balance_residual <= BALANCE_THRESHOLD, f"{eta} {fault}"
 
 
+def _outside(m_t, m_f, r_f):
+    return pytest.raises(
+        ValueError, match=re.escape(f"grid point (m_t={m_t}, m_f={m_f}, r_f={r_f})")
+    )
+
+
 def test_location_clamp_enforced_on_the_stack(net):
+    # one domain check, m_t in [0, 1], m_f in (0, 1] and r_f in (0, inf),
+    # that names the first grid point outside it; NaN is outside
     cache = OmegaCache(net)
-    with pytest.raises(FaultRangeError):
-        cache.omegas("ag", [0.5, 0.0], [1.0, 1.0], net.r_fault_max)
-    with pytest.raises(FaultRangeError):
-        cache.omegas("ag", [1.0], [1.0], net.r_fault_max)
-    with pytest.raises(FaultRangeError):
-        cache.omegas("ag", [float("nan")], [1.0], net.r_fault_max)
+    r = net.r_fault_max
+    for m_t in (-0.1, 1.1, float("nan")):
+        with _outside(m_t, 1.0, r):
+            cache.omegas("ag", [0.5, m_t], [1.0, 1.0], r)
     # m_f = 0 is bolted and has no Omega; the others lie outside (0, 1]
     for m_f in (0.0, -0.5, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=rf"grid point \(m_t=0\.25, m_f={m_f}\)"):
-            cache.omegas("abcg", [0.5, 0.25], [1.0, m_f], net.r_fault_max)
+        with _outside(0.25, m_f, r):
+            cache.omegas("abcg", [0.5, 0.25], [1.0, m_f], r)
+    for r_f in (0.0, -1.0, float("nan"), float("inf")):
+        with _outside(0.5, 1.0, r_f):
+            cache.omegas("ag", [0.5], [1.0], r_f)
+    with _outside(0.25, 1.0, float("nan")):
+        cache.omegas("ag", [0.5, 0.25], [1.0, 1.0], [r, float("nan")])
+    # both line ends are inside
+    assert np.isfinite(cache.omegas("ag", [0.0, 1.0], [1.0, 1.0], r)).all()
 
 
 def test_floating_network_has_no_terminal_reduction():

@@ -64,8 +64,14 @@ def test_sources_are_stationary(net):
 
 
 def test_location_out_of_clamp_rejected(net):
-    with pytest.raises(ValueError):
-        simulate(net, FaultSpec("ag", 1.0, 0.5, net.r_fault_max))
+    # FaultSpec rejects a location off the line; both line ends are simulated,
+    # with the fault bus on the terminal bus
+    with pytest.raises(ValueError, match="m_t must lie in"):
+        simulate(net, FaultSpec("ag", 1.1, 0.5, net.r_fault_max))
+    for m_t, bus in ((0.0, net.local_bus), (1.0, net.remote_bus)):
+        sim = simulate(net, FaultSpec("ag", m_t, 0.5, net.r_fault_max))
+        assert sim.kcl_residual_fault <= 1e-12
+        assert sim.fault.v("F") == sim.fault.v(bus)
 
 
 def test_prefault_voltages_physically_plausible(net):
