@@ -25,8 +25,6 @@ FAULT_TYPES = (
     "abcg",
 )
 
-_PH = {"a": 0, "b": 1, "c": 2}
-
 # Resistor branches per fault type: phases shorted to ground, and
 # phase-to-phase pairs. Every branch carries the same resistance m_F * R_F.
 FAULT_BRANCHES: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
@@ -83,3 +81,18 @@ def normalized_stamp(eta: str) -> np.ndarray:
         m[x, y] -= 1.0
         m[y, x] -= 1.0
     return m
+
+
+def _rank_factors(eta: str) -> tuple[np.ndarray, np.ndarray]:
+    """S = B C^T: B holds r = rank(S) columns of S and C^T is integer. A grounded
+    fault's stamp is nonsingular on its phases; an ungrounded one's last column
+    is minus the sum of the others (a graph Laplacian)."""
+    grounds, pairs = FAULT_BRANCHES[eta]
+    phases = sorted(set(grounds).union(*pairs))
+    keep, eye = (phases if grounds else phases[:-1]), np.eye(3)
+    c_t = eye[keep] - (0.0 if grounds else eye[phases[-1]])
+    return normalized_stamp(eta)[:, keep], c_t
+
+
+# r = 1 for ag, bg, cg, ab, ac and bc; 2 for abg, acg, bcg and abc; 3 for abcg
+STAMP_FACTORS = {eta: _rank_factors(eta) for eta in FAULT_TYPES}

@@ -18,8 +18,6 @@ from .loops import UnenergizedLoopError, apparent_impedances
 from .network import NetworkModel
 from .phasors import MeasurementWindow
 
-GRID_PRESETS = ("paper22", "corners4")
-
 
 @dataclass(frozen=True)
 class Characteristic:

@@ -10,9 +10,9 @@ Everything outside the protected line is fixed, so the healthy incremental
 network is reduced once to the relay terminals L and R: one dense solve
 gives the 6x6 impedance Z_T seen from (L, R) (Kron reduction). The fault bus
 F at location m splits the protected line; its impedances follow from Z_T by
-3x3 algebra with no 1/m terms, and the fault stamp enters as a rank-<=3
-compensation (Alsac, Stott & Tinney). Every grid point is then a stacked 3x3
-solve, so a whole grid is evaluated at once.
+3x3 algebra with no 1/m terms. The fault stamp S = B C^T has rank r <= 3 and
+enters as a compensation (Alsac, Stott & Tinney) through an r x r system,
+inverted in closed form, so a whole grid is evaluated at once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import config
-from .admittance import SingularSystemError, normalized_stamp
+from .admittance import STAMP_FACTORS, SingularSystemError
 from .network import BusRole, NetworkModel, phase_impedance
 from .phasors import MeasurementWindow
 
@@ -66,6 +66,21 @@ def terminal_impedance(net: NetworkModel) -> np.ndarray:
     return np.vstack([x[o_l : o_l + 3], x[o_r : o_r + 3]])
 
 
+def _small_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and 1-norm condition of an (r, r, N) stack; inf or NaN if singular."""
+    if len(a) == 1:
+        cof = np.ones_like(a)
+    elif len(a) == 2:
+        cof = np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
+    else:  # cofactor (i, j) = a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1]
+        i, j = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
+        cof = a[i, i.T] * a[j, j.T] - a[i, j.T] * a[j, i.T]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = cof.transpose(1, 0, 2) / (a[0] * cof[0]).sum(axis=0)  # adjugate / det
+        kappa = np.abs(a).sum(axis=0).max(axis=0) * np.abs(inv).sum(axis=0).max(axis=0)
+    return inv, kappa
+
+
 def omega_stack(
     z_t: np.ndarray,
     z_line: np.ndarray,
@@ -76,15 +91,14 @@ def omega_stack(
 ) -> np.ndarray:
     """(N, 3, 6) remote-current operators for N resistive fault points.
 
-    With m = m_t, Z_l the protected line's phase impedance and S the
-    normalized stamp of ``eta``, the fault bus F splitting the line sees
+    With m = m_t, Z_l the protected line's phase impedance, S = B C^T the
+    rank-r normalized stamp of ``eta``, P = Z_l^-1 (Z_RL - Z_LL) and
+    Q = Z_l^-1 (Z_RR - Z_LR), the push-through identity turns the fault bus's
+    3x3 compensation (m_f r_f I + S Z_FF)^-1 S into B M^-1 C^T, with
 
         Z_FF = (1-m)^2 Z_LL + m(1-m) (Z_LR + Z_RL + Z_l) + m^2 Z_RR
-        Z_RF - Z_LF = (1-m) (Z_RL - Z_LL) + m (Z_RR - Z_LR)
-        Omega = (m I - Z_l^-1 (Z_RF - Z_LF)) (m_f r_f I + S Z_FF)^-1 S [I, -m Z_l]
-
-    Both are polynomials in m with constant 3x3 coefficients, so only the
-    fault solve is a stacked matrix operation.
+        M = m_f r_f I_r + C^T Z_FF B  (r x r, r <= 3, inverted in closed form)
+        Omega = (-P + m (I + P - Q)) B M^-1 C^T [I, -m Z_l]
     """
     # every comparison is false for NaN, so NaN is outside too
     inside = (
@@ -98,20 +112,16 @@ def omega_stack(
             f"at grid point (m_t={m_t[k]}, m_f={m_f[k]}, "
             f"r_f={np.broadcast_to(r_f, m_t.shape)[k]})"
         )
-    m = m_t[:, None, None]
-    z_ll, z_lr = z_t[0:3, 0:3], z_t[0:3, 3:6]
-    z_rl, z_rr = z_t[3:6, 0:3], z_t[3:6, 3:6]
-    s = normalized_stamp(eta)
-    a = (
-        (m_f * r_f)[:, None, None] * np.eye(3)
-        + (1.0 - m) ** 2 * (s @ z_ll)
-        + m * (1.0 - m) * (s @ (z_lr + z_rl + z_line))
-        + m**2 * (s @ z_rr)
-    )
-    kappa = np.linalg.cond(a, 1)  # inf where a is singular; never raises
-    bad = ~np.isfinite(kappa)
-    if bad.any():
-        k = int(np.argmax(bad))
+    b, c_t = STAMP_FACTORS[eta]
+    r, m = b.shape[1], m_t
+    (z_ll, z_lr), (z_rl, z_rr) = z_t.reshape(2, 3, 2, 3).swapaxes(1, 2)
+    # (rows, cols, N) stacks, elementwise sums: a point's Omega never depends on others
+    z_ff = ((z_ll, (1.0 - m) ** 2), (z_lr + z_rl + z_line, m * (1.0 - m)), (z_rr, m**2))
+    a = sum((c_t @ z @ b)[:, :, None] * w for z, w in z_ff)
+    a[range(r), range(r)] += m_f * r_f
+    inv, kappa = _small_inverse(a)
+    if not np.isfinite(kappa).all():
+        k = int(np.argmin(np.isfinite(kappa)))
         raise SingularSystemError(
             f"fault system singular at grid point (m_t={m_t[k]}, m_f={m_f[k]})"
         )
@@ -124,16 +134,15 @@ def omega_stack(
             RuntimeWarning,
             stacklevel=2,
         )
-    p = np.linalg.solve(z_line, z_rl - z_ll)
-    q = np.linalg.solve(z_line, z_rr - z_lr)
-    k_r = m * np.eye(3) - (1.0 - m) * p - m * q
-    # s gets a's stack axis: numpy 1.x reads a right-hand side with one axis
-    # fewer than the matrix as a stack of vectors
-    g = k_r @ np.linalg.solve(a, np.broadcast_to(s, a.shape))
-    omega = np.empty((len(m_t), 3, 6), dtype=complex)
-    omega[:, :, 0:3] = g
-    omega[:, :, 3:6] = -m * (g @ z_line)
-    return omega
+    p, q = (np.linalg.solve(z_line, z) for z in (z_rl - z_ll, z_rr - z_lr))
+    k_0, k_1 = -p @ b, (np.eye(3) + p - q) @ b  # K_R B = K_0 + m K_1
+    g = sum((k_0[:, j, None, None] + k_1[:, j, None, None] * m) * inv[j] for j in range(r))
+    d = np.hstack([c_t, c_t @ z_line])  # C^T [I, Z_l]; g = K_R B M^-1
+    omega = g[:, 0, None] * d[0, :, None]
+    for j in range(1, r):
+        omega += g[:, j, None] * d[j, :, None]
+    omega[:, 3:6] *= -m
+    return omega.transpose(2, 0, 1).copy()
 
 
 def prefault_vector(w: MeasurementWindow) -> np.ndarray:
@@ -145,7 +154,7 @@ class OmegaCache:
     """Per-network cache of the terminal reduction Z_T.
 
     The network is reduced once, on construction; the Omega stack of any
-    grid then costs one batched 3x3 solve per point.
+    grid then costs one closed-form r x r inverse per point, r <= 3.
     """
 
     def __init__(self, net: NetworkModel):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .admittance import FAULT_TYPES, normalized_stamp
+from .admittance import STAMP_FACTORS
 from .network import Line
 from .phasors import GROUND_LOOPS, PSI, MeasurementWindow, phase_array
 
@@ -85,12 +85,13 @@ def loop_quantities(eta: str, w: MeasurementWindow, line: Line) -> LoopQuantitie
 
 # Row c per fault type with psi_loop . v_F = m_f*r_f * (c . i_F): i_F is the
 # total current into the fault network, and c projects it back to the loop
-# voltage through the pseudoinverse of the normalized stamp. The loop selector
-# lies in the stamp's range for the matching loop, so the projection is well
-# defined.
+# voltage through the pseudoinverse S^+ = C (C^T C)^-1 (B^T B)^-1 B^T of the
+# normalized stamp S = B C^T. The loop selector lies in the stamp's range for
+# the matching loop, so the projection is well defined.
 _FAULT_VOLTAGE_ROWS = {
-    eta: PSI[LOOP_FOR_FAULT[eta]] @ np.linalg.pinv(normalized_stamp(eta))
-    for eta in FAULT_TYPES
+    eta: PSI[LOOP_FOR_FAULT[eta]]
+    @ (c_t.T @ np.linalg.solve(c_t @ c_t.T, np.linalg.solve(b.T @ b, b.T)))
+    for eta, (b, c_t) in STAMP_FACTORS.items()
 }
 
 

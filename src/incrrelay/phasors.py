@@ -21,7 +21,7 @@ PSI = {
 GROUND_LOOPS = ("ag", "bg", "cg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phasor3:
     """One complex phasor per phase; the unit of all measurements."""
 
@@ -40,11 +40,10 @@ class Phasor3:
 
     @classmethod
     def from_array(cls, arr) -> "Phasor3":
-        a, b, c = np.asarray(arr, dtype=complex).reshape(3)
-        return cls(a, b, c)
+        return cls(*np.asarray(arr, dtype=complex).reshape(3).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementWindow:
     """Relay measurements one cycle apart: (t - p*delta) and t.
 

@@ -16,13 +16,16 @@ from incrrelay import (
     loop_quantities,
     simulate,
 )
+from incrrelay.admittance import normalized_stamp
 from incrrelay.incremental import prefault_vector
 from incrrelay.loops import (
+    _FAULT_VOLTAGE_ROWS,
     LOOP_FOR_FAULT,
     UnenergizedLoopError,
     apparent_impedances,
     compensation_factor,
 )
+from incrrelay.phasors import PSI
 
 # rotation operator of balanced sets: phase b lags a by 120 degrees
 ALPHA = cmath.exp(2j * cmath.pi / 3)
@@ -158,3 +161,11 @@ def test_resistance_direction_consistency(net):
     z = _z(net, f, sim.window, sigma)
     want = f.m_t * net.protected.z1 + f.m_f * w_dir
     assert abs(z - want) <= 1e-12 * abs(z)
+
+
+def test_fault_voltage_rows_are_the_stamp_pseudoinverse_rows():
+    # the rows come from the stamp's rank factors; numpy's SVD-based pinv of
+    # the stamp itself is the reference
+    for eta in FAULT_TYPES:
+        expected = PSI[LOOP_FOR_FAULT[eta]] @ np.linalg.pinv(normalized_stamp(eta))
+        assert np.allclose(_FAULT_VOLTAGE_ROWS[eta], expected, rtol=0.0, atol=1e-15), eta

@@ -13,7 +13,7 @@ import pytest
 
 import incrrelay.incremental as incremental_mod
 from incrrelay import FAULT_TYPES, FaultSpec, fourbus_path, parse_network, verify_grid
-from incrrelay.admittance import SingularSystemError, normalized_stamp
+from incrrelay.admittance import STAMP_FACTORS, SingularSystemError, normalized_stamp
 from incrrelay.cli import BALANCE_THRESHOLD, SIGMA_THRESHOLD, Z_A_THRESHOLD
 from incrrelay.incremental import OmegaCache
 from incrrelay.network import BusRole, phase_impedance
@@ -124,11 +124,38 @@ relay: {line: main, local: a, remote: b, r_fault_max: 1.0}
         OmegaCache(floating)
 
 
+def test_stamp_factors_reproduce_every_stamp():
+    # S = B C^T exactly, with B of full column rank r and C^T integer
+    ranks = {}
+    for eta in FAULT_TYPES:
+        b, c_t = STAMP_FACTORS[eta]
+        assert np.array_equal(b @ c_t, normalized_stamp(eta))
+        assert np.array_equal(c_t, np.rint(c_t))
+        assert np.linalg.matrix_rank(b) == b.shape[1]
+        ranks[eta] = b.shape[1]
+    two = dict.fromkeys(("abg", "acg", "bcg", "abc"), 2)
+    assert ranks == dict.fromkeys(FAULT_TYPES, 1) | two | {"abcg": 3}
+
+
+def _minus_identity_stamp(monkeypatch, z_line):
+    # S = B C^T = -I with B = -I and C^T = I, and Z_T = 0: the fault system is
+    # m_f r_f I - m(1-m) Z_l
+    monkeypatch.setitem(STAMP_FACTORS, "ag", (-np.eye(3), np.eye(3)))
+    return lambda m_t, r_f: incremental_mod.omega_stack(
+        np.zeros((6, 6)), z_line, "ag", np.array(m_t), np.ones(len(m_t)), r_f
+    )
+
+
 def test_singular_fault_system_names_the_grid_point(monkeypatch):
-    # with Z_T = 0, Z_l = I and S = -I the fault system is
-    # (m_f r_f - m(1-m)) I, singular at m = 0.5 when m_f r_f = 0.25
-    monkeypatch.setattr(incremental_mod, "normalized_stamp", lambda eta: -np.eye(3))
+    # with Z_l = I it is singular at m = 0.5 when m_f r_f = 0.25
+    omega_stack = _minus_identity_stamp(monkeypatch, np.eye(3))
     with pytest.raises(SingularSystemError, match=r"m_t=0\.5, m_f=1\.0"):
-        incremental_mod.omega_stack(
-            np.zeros((6, 6)), np.eye(3), "ag", np.array([0.25, 0.5]), np.ones(2), 0.25
-        )
+        omega_stack([0.25, 0.5], 0.25)
+
+
+def test_ill_conditioned_fault_system_warns(monkeypatch):
+    # with Z_l = diag(1, 2, 2) and m_f r_f = 0.25 + 1e-14 the system at
+    # m = 0.5 is diag(1e-14, -0.25, -0.25): 1-norm condition 2.5e13
+    omega_stack = _minus_identity_stamp(monkeypatch, np.diag([1.0, 2.0, 2.0]))
+    with pytest.warns(RuntimeWarning, match=r"^1 fault systems ill-conditioned.*m_t=0\.5"):
+        omega_stack([0.25, 0.5], 0.25 + 1e-14)
