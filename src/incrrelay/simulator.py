@@ -12,6 +12,12 @@ remote bus, are unknowns with one branch row each, so every matrix entry
 stays of order one for every fault location and the currents into the line
 are read from the solution.
 
+A bolted fault (m_F = 0) has no conductance to stamp. It is a change of
+the fault bus's three unknowns instead: each phase the fault ties to ground
+or to another phase trades its voltage for its fault current, so the tied
+voltages hold exactly and every system, healthy, resistive or bolted, has
+the same n + 6 unknowns.
+
 A call simulates N fault points, of any fault types, at once. Only the
 protected line's split and the fault stamp differ between them, so the rest
 of the network is stamped once, and the healthy prefault state (the line
@@ -150,7 +156,7 @@ def _unit_stamp(eta: str) -> np.ndarray:
 
 
 # the unit stamps by fault-type index; the last one, zero, is for healthy
-# and bolted points, which have no fault conductance
+# points, which have no fault
 _ETA_INDEX = {eta: k for k, eta in enumerate(FAULT_BRANCHES)}
 _NO_FAULT = len(_ETA_INDEX)
 _STAMP_STACK = np.array([_unit_stamp(eta) for eta in _ETA_INDEX] + [np.zeros((3, 3))])
@@ -205,50 +211,28 @@ def _base_system(
     return y, b, offsets
 
 
-def _bolted_constraints(eta: str) -> list[np.ndarray]:
-    """Independent constraint rows on the fault-bus voltage for m_f = 0.
+def _bolted_basis(eta: str) -> tuple[np.ndarray, np.ndarray]:
+    """A bolted fault as a change of the fault bus's unknowns x, for m_f = 0.
 
-    Built from the connected components of the fault graph over the three
-    phases and ground: phases tied to ground are pinned to zero, phase
-    groups without ground are pinned equal.
+    The fault bus voltage is v_F = V x and the current into the fault is
+    R x. Each tied phase trades its voltage for its fault current: a
+    grounded fault ties every faulted phase to ground, an ungrounded one
+    ties the others to the first faulted phase, whose current they return.
     """
     grounds, pairs = FAULT_BRANCHES[eta]
-    parent = list(range(4))  # 0..2 phases, 3 = ground
+    phases = sorted(set(grounds).union(*pairs))
+    tied = phases if grounds else phases[1:]
+    v, r = np.eye(3), np.zeros((3, 3))
+    v[:, tied] = 0.0
+    r[tied, tied] = 1.0
+    if not grounds:
+        v[tied, phases[0]] = 1.0
+        r[phases[0], tied] = -1.0
+    return v, r
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for ph in grounds:
-        union(ph, 3)
-    for x, y in pairs:
-        union(x, y)
-
-    rows: list[np.ndarray] = []
-    groups: dict[int, list[int]] = {}
-    for ph in range(3):
-        groups.setdefault(find(ph), []).append(ph)
-    ground_root = find(3)
-    for root, phases in groups.items():
-        if root == ground_root:
-            for ph in phases:
-                row = np.zeros(3)
-                row[ph] = 1.0
-                rows.append(row)
-        elif len(phases) > 1:
-            first = phases[0]
-            for ph in phases[1:]:
-                row = np.zeros(3)
-                row[first] = 1.0
-                row[ph] = -1.0
-                rows.append(row)
-    return rows
-
+# V and R of each fault type's bolted basis, by fault-type index
+_BOLTED_V, _BOLTED_R = map(np.array, zip(*(_bolted_basis(eta) for eta in _ETA_INDEX)))
 
 # The systems are solved in blocks of at most this many matrix entries
 # (256 KiB in double precision: 37 systems of the four-bus network, 2 of a
@@ -256,12 +240,6 @@ def _bolted_constraints(eta: str) -> list[np.ndarray]:
 # Each point is solved on its own, so the block size does not change any
 # result.
 _BLOCK_ENTRIES = 1 << 14
-
-# A bolted point's constraint rows and their count, by fault-type index
-# (rows zero-padded to three; no rows without a fault).
-_BOLTED = [_bolted_constraints(eta) for eta in _ETA_INDEX] + [[]]
-_BOLTED_COUNT = np.array([len(rows) for rows in _BOLTED])
-_BOLTED_ROWS = np.array([rows + [np.zeros(3)] * (3 - len(rows)) for rows in _BOLTED])
 
 
 def _systems(
@@ -271,34 +249,33 @@ def _systems(
     zabc: np.ndarray,
     m_t: np.ndarray,
     g: np.ndarray,
-    stamp: np.ndarray,
-    con: np.ndarray,
+    kind: np.ndarray,
+    bolted: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n + 6 + c, n + 6 + c) modified nodal systems and their right-hand sides.
+    """(N, n + 6, n + 6) modified nodal systems and their right-hand sides.
 
     Unknowns: the n node entries of the base system, then the segment
-    currents I_LF (local bus to F) and I_FR (F to the remote bus), then c
-    Lagrange multipliers. ``inc`` (n, 6) is the segments' incidence: it puts
-    the currents into the KCL rows of their end buses and, transposed, gives
-    the branch rows v_L - v_F - m Z_l I_LF = 0 and v_F - v_R - (1-m) Z_l
-    I_FR = 0. The fault conductances g (N,) times the unit stamps
-    ``_STAMP_STACK[stamp]`` are added at F. A bolted point (m_f = 0) has no
-    conductance; its fault-bus voltage is constrained instead by its rows of
-    ``con`` (N, c, 3). Every point of the stack has the same number c of
-    constraints.
+    currents I_LF (local bus to F) and I_FR (F to the remote bus). ``inc``
+    (n, 6) is the segments' incidence: it puts the currents into the KCL
+    rows of their end buses and, transposed, gives the branch rows
+    v_L - v_F - m Z_l I_LF = 0 and v_F - v_R - (1-m) Z_l I_FR = 0. A
+    resistive point adds its fault conductance g times the unit stamp of its
+    fault type ``kind`` at F. A point marked ``bolted`` has no conductance:
+    F's three unknowns are the coordinates x of its fault type's bolted
+    basis, so F's columns are multiplied by V and the fault current R x
+    enters F's KCL rows. A healthy point (no fault type) has neither.
     """
     n = y0.shape[0]
-    c = con.shape[1]
-    a = np.zeros((len(m_t), n + 6 + c, n + 6 + c), dtype=complex)
+    a = np.zeros((len(m_t), n + 6, n + 6), dtype=complex)
     a[:, :n, :n] = y0
-    a[:, 0:3, 0:3] += g[:, None, None] * _STAMP_STACK[stamp]
-    a[:, :n, n : n + 6] = inc
-    a[:, n : n + 6, :n] = inc.T
+    a[:, 0:3, 0:3] += g[:, None, None] * _STAMP_STACK[kind]
+    a[:, :n, n:] = inc
+    a[:, n:, :n] = inc.T
     a[:, n : n + 3, n : n + 3] = -m_t[:, None, None] * zabc
-    a[:, n + 3 : n + 6, n + 3 : n + 6] = -(1.0 - m_t)[:, None, None] * zabc
-    a[:, n + 6 :, 0:3] = con
-    a[:, 0:3, n + 6 :] = con.transpose(0, 2, 1)
-    b = np.zeros((len(m_t), n + 6 + c), dtype=complex)
+    a[:, n + 3 :, n + 3 :] = -(1.0 - m_t)[:, None, None] * zabc
+    a[bolted, :, 0:3] = a[bolted, :, 0:3] @ _BOLTED_V[kind[bolted]]
+    a[bolted, 0:3, 0:3] += _BOLTED_R[kind[bolted]]
+    b = np.zeros((len(m_t), n + 6), dtype=complex)
     b[:, :n] = b0
     return a, b
 
@@ -359,26 +336,21 @@ def simulate_many(
     for col, (first, second) in zip((0, 3), ((o_l, 0), (0, o_r))):
         inc[first : first + 3, col : col + 3] = np.eye(3)
         inc[second : second + 3, col : col + 3] = -np.eye(3)
-    # stacked solves per system size, so that no point's solution depends
-    # on the other points of the call, in blocks of bounded size
+    # stacked solves, so that no point's solution depends on the other
+    # points of the call, in blocks of bounded size
     x = np.empty((len(cols), n + 6), dtype=complex)
     res = np.empty(len(cols))
     resistive = m_f > 0.0
+    bolted = ~resistive & (kind != _NO_FAULT)
     g = np.zeros(len(cols))
     g[resistive] = 1.0 / (m_f[resistive] * r_f[resistive])
-    stamp = np.where(resistive, kind, _NO_FAULT)
-    sizes = np.where(resistive, 0, _BOLTED_COUNT[kind])
-    for c in sorted(set(sizes.tolist())):
-        idx = [k for k, size in enumerate(sizes.tolist()) if size == c]
-        step = max(1, _BLOCK_ENTRIES // (n + 6 + c) ** 2)
-        for start in range(0, len(idx), step):
-            blk = idx[start : start + step]
-            a, b = _systems(
-                y0, b0, inc, zabc,
-                m_t[blk], g[blk], stamp[blk], _BOLTED_ROWS[kind[blk], :c],
-            )
-            x_blk, res[blk] = _solve(a, b)
-            x[blk] = x_blk[:, : n + 6]
+    step = max(1, _BLOCK_ENTRIES // (n + 6) ** 2)
+    for start in range(0, len(cols), step):
+        blk = slice(start, start + step)
+        a, b = _systems(y0, b0, inc, zabc, m_t[blk], g[blk], kind[blk], bolted[blk])
+        x[blk], res[blk] = _solve(a, b)
+    # a bolted point's fault-bus unknowns are the coordinates of its basis
+    x[bolted, 0:3] = np.einsum("kij,kj->ki", _BOLTED_V[kind[bolted]], x[bolted, 0:3])
     # SG slots hold the terminal currents; their voltages are the sources'
     v = x[:, :n].reshape(len(cols), len(nodes), 3)
     i_sg = v[:, sg].copy()
@@ -463,8 +435,13 @@ def verify_grid(
         if res.any():
             omegas = cache.omegas(eta, m_t[res], m_f[res], r_f[res])
             sigma[res] = omegas @ pre
+            # where nothing beyond the remote bus carries current, sigma_direct
+            # vanishes and sigma is held to the local current's increment
+            scale = _norms(direct[res])
+            delta_i = _norms(i_now[sel[res]] - i_prev)
+            scale = np.where(scale <= 1e-12 * delta_i, delta_i, scale)
             sigma_err[sel[res]] = _norms(sigma[res] - direct[res]) / np.maximum(
-                _norms(direct[res]), 1e-300
+                scale, 1e-300
             )
         z_formula = apparent_impedances(eta, window, line, sigma, m_t, m_f, r_f)
         z_err[sel] = np.abs(z_formula - z_measured) / np.maximum(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from incrrelay import FAULT_TYPES, FaultSpec, simulate, verify_grid
+from incrrelay.admittance import FAULT_BRANCHES
 
 
 def _inc(now, prev) -> float:
@@ -44,16 +45,17 @@ def test_ag_fault_current_is_phase_a_only(net):
     assert abs(i_f.c) <= 1e-9 * abs(i_f.a)
 
 
-def test_bolted_ab_fault_ties_phases(net):
-    sim = simulate(net, FaultSpec("ab", 0.5, 0.0, net.r_fault_max))
-    v_f = sim.fault.v("F")
-    assert abs(v_f.a - v_f.b) <= 1e-10
-    assert abs(v_f.c) > 1e-3  # untouched phase stays energized
-
-
-def test_bolted_abcg_pins_fault_bus_to_ground(net):
-    sim = simulate(net, FaultSpec("abcg", 0.5, 0.0, net.r_fault_max))
-    assert np.linalg.norm(sim.fault.v("F").as_array()) <= 1e-10
+@pytest.mark.parametrize("eta", FAULT_TYPES)
+def test_bolted_fault_bus_meets_its_constraints_exactly(net, eta):
+    grounds, pairs = FAULT_BRANCHES[eta]
+    sim = simulate(net, FaultSpec(eta, 0.5, 0.0, net.r_fault_max))
+    v_f = sim.fault.v("F").as_array()
+    for ph in grounds:
+        assert v_f[ph] == 0.0
+    for x, y in pairs:
+        assert v_f[x] == v_f[y]
+    for ph in set(range(3)).difference(grounds, *pairs):
+        assert abs(v_f[ph]) > 1e-3  # an unfaulted phase stays energized
 
 
 def test_sources_are_stationary(net):
