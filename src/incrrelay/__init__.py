@@ -19,7 +19,8 @@ from .incremental import OmegaCache
 from .loops import loop_quantities
 from .network import Bus, BusRole, Line, NetworkModel, parse_network, phase_impedance
 from .phasors import MeasurementWindow, Phasor3
-from .simulator import ScenarioResult, ScenarioStack, simulate, simulate_many, verify_grid
+from .simulator import ScenarioResult, ScenarioStack, simulate, simulate_many
+from .verify import verify_grid
 
 __all__ = [
     "FAULT_TYPES",

@@ -18,12 +18,21 @@ or to another phase trades its voltage for its fault current, so the tied
 voltages hold exactly and every system, healthy, resistive or bolted, has
 the same n + 6 unknowns.
 
-A call simulates N fault points, of any fault types, at once. Only the
-protected line's split and the fault stamp differ between them, so the rest
-of the network is stamped once, and the healthy prefault state (the line
-split at 0.5, no fault) is row 0 of the stack of N + 1 systems. Each system
-is one double-precision solve plus one refinement step with an
-extended-precision residual.
+A call simulates N fault points, of any fault types, at once, and the
+healthy prefault state (the line split at 0.5, no fault) is one more point.
+Only the protected line's split and the fault stamp at F differ between
+them, so the systems are solved by block elimination (block LU, Golub &
+Van Loan; Kron's diakoptics): after a change of variables, the healthy
+network with the protected line whole is a block that every point shares.
+It is stamped and solved once per call, and each point solves only a 6x6
+Schur complement in F's unknowns and the fault current. No point's full
+system is formed. What anchors each point is the residual of its full,
+unreduced system, taken in extended precision from the shared matrix and
+the point's own terms: one refinement step corrects the solution with it,
+and its final value is the reported residual.
+
+The stamps and the bolted bases are the simulator's own: it uses nothing of
+the incremental pipeline, which ``incrrelay.verify`` checks against it.
 """
 
 from __future__ import annotations
@@ -33,10 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
 from .admittance import FAULT_BRANCHES, FaultSpec
-from .incremental import OmegaCache
-from .loops import apparent_impedances, loop_quantities
 from .network import BusRole, NetworkModel
 from .phasors import MeasurementWindow, Phasor3
 
@@ -118,27 +124,14 @@ class ScenarioStack:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Residuals comparing the incremental pipeline against direct solves."""
-
-    fault: FaultSpec
-    sigma_rel_err: float
-    z_a_rel_err: float
-    sg_voltage_inc_norm: float
-    prefault_fault_current_norm: float
-    prefault_balance_residual: float
-
-
 def _segment_zabc(z1: complex, z0: complex) -> np.ndarray:
-    # own copy of the circulant construction, kept separate from network.py
-    zself = (z0 + 2.0 * z1) / 3.0
-    zmut = (z0 - z1) / 3.0
-    out = np.empty((3, 3), dtype=complex)
-    for r in range(3):
-        for c in range(3):
-            out[r, c] = zself if r == c else zmut
-    return out
+    """Phase matrix of positive- and zero-sequence values z1 and z0.
+
+    The own copy of the circulant construction, kept separate from
+    network.py. Its inverse is the same construction of 1/z1 and 1/z0.
+    """
+    zs, zm = (z0 + 2.0 * z1) / 3.0, (z0 - z1) / 3.0
+    return np.array([[zs, zm, zm], [zm, zs, zm], [zm, zm, zs]], dtype=complex)
 
 
 def _unit_stamp(eta: str) -> np.ndarray:
@@ -160,6 +153,7 @@ def _unit_stamp(eta: str) -> np.ndarray:
 _ETA_INDEX = {eta: k for k, eta in enumerate(FAULT_BRANCHES)}
 _NO_FAULT = len(_ETA_INDEX)
 _STAMP_STACK = np.array([_unit_stamp(eta) for eta in _ETA_INDEX] + [np.zeros((3, 3))])
+_EYE3 = np.eye(3)
 
 
 def _stamp(y: np.ndarray, oi: int, oj: int, yblk: np.ndarray):
@@ -174,14 +168,16 @@ def _stamp(y: np.ndarray, oi: int, oj: int, yblk: np.ndarray):
 def _base_system(
     net: NetworkModel,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Nodal system of everything except the protected line.
+    """Modified nodal system of the healthy network, the protected line whole.
 
     Block offsets put the fault bus F at 0, then junctions, IBRs and SGs.
-    Every other line is a series stamp; junction shunts enter as +Y, IBR
-    Norton admittances as -Y with their source currents on the right; an
-    SG's voltage is known, so its columns move to the right-hand side and
-    its slot holds the unknown terminal current. The protected line never
-    touches an SG bus, so its segments can be added afterwards.
+    F's slot holds the protected line's current I_FR instead of a voltage,
+    and its rows the line's branch row v_L - v_R - Z_l I_FR = 0; the
+    current leaves the local bus and enters the remote one. Every other line
+    is a series stamp; junction shunts enter as +Y, IBR Norton admittances
+    as -Y with their source currents on the right; an SG's voltage is known,
+    so its columns move to the right-hand side and its slot holds the
+    unknown terminal current. The protected line never touches an SG bus.
     """
     offsets = {"F": 0}
     nxt = 3
@@ -193,8 +189,12 @@ def _base_system(
     y = np.zeros((nxt, nxt), dtype=complex)
     for line in net.lines:
         if line.id != net.protected_line:
-            yblk = np.linalg.inv(_segment_zabc(line.z1, line.z0))
+            yblk = _segment_zabc(1.0 / line.z1, 1.0 / line.z0)
             _stamp(y, offsets[line.from_bus], offsets[line.to_bus], yblk)
+    o_l, o_r = offsets[net.local_bus], offsets[net.remote_bus]
+    y[o_l : o_l + 3, :3] = y[:3, o_l : o_l + 3] = _EYE3
+    y[o_r : o_r + 3, :3] = y[:3, o_r : o_r + 3] = -_EYE3
+    y[:3, :3] = -_segment_zabc(net.protected.z1, net.protected.z0)
 
     b = np.zeros(nxt, dtype=complex)
     for bus in net.buses:
@@ -207,7 +207,7 @@ def _base_system(
         else:  # SG: voltage known, terminal current unknown
             b -= y[:, blk] @ bus.sg_voltage.as_array()
             y[:, blk] = 0.0
-            y[blk, blk] = -np.eye(3)
+            y[blk, blk] = -_EYE3
     return y, b, offsets
 
 
@@ -231,53 +231,26 @@ def _bolted_basis(eta: str) -> tuple[np.ndarray, np.ndarray]:
     return v, r
 
 
-# V and R of each fault type's bolted basis, by fault-type index
-_BOLTED_V, _BOLTED_R = map(np.array, zip(*(_bolted_basis(eta) for eta in _ETA_INDEX)))
+# F's rows in F's unknowns x and the fault current i_F, by fault-type index
+# of the bolted basis: its KCL rows R x - i_F and its share V x of the
+# second branch row. The last, for points that are not bolted, keeps v_F
+# as F's unknowns.
+_F_ROWS = np.array(
+    [
+        np.block([[r, -_EYE3], [v, np.zeros((3, 3))]])
+        for v, r in [*map(_bolted_basis, _ETA_INDEX), (_EYE3, np.zeros((3, 3)))]
+    ],
+    dtype=complex,
+)
 
-# The systems are solved in blocks of at most this many matrix entries
-# (256 KiB in double precision: 37 systems of the four-bus network, 2 of a
-# 24-bus one), so a call's memory does not grow with the number of points.
-# Each point is solved on its own, so the block size does not change any
-# result.
-_BLOCK_ENTRIES = 1 << 14
 
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over the leading axes, one product per point.
 
-def _systems(
-    y0: np.ndarray,
-    b0: np.ndarray,
-    inc: np.ndarray,
-    zabc: np.ndarray,
-    m_t: np.ndarray,
-    g: np.ndarray,
-    kind: np.ndarray,
-    bolted: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n + 6, n + 6) modified nodal systems and their right-hand sides.
-
-    Unknowns: the n node entries of the base system, then the segment
-    currents I_LF (local bus to F) and I_FR (F to the remote bus). ``inc``
-    (n, 6) is the segments' incidence: it puts the currents into the KCL
-    rows of their end buses and, transposed, gives the branch rows
-    v_L - v_F - m Z_l I_LF = 0 and v_F - v_R - (1-m) Z_l I_FR = 0. A
-    resistive point adds its fault conductance g times the unit stamp of its
-    fault type ``kind`` at F. A point marked ``bolted`` has no conductance:
-    F's three unknowns are the coordinates x of its fault type's bolted
-    basis, so F's columns are multiplied by V and the fault current R x
-    enters F's KCL rows. A healthy point (no fault type) has neither.
+    Each point's product is its own, so no result depends on the other
+    points of a call.
     """
-    n = y0.shape[0]
-    a = np.zeros((len(m_t), n + 6, n + 6), dtype=complex)
-    a[:, :n, :n] = y0
-    a[:, 0:3, 0:3] += g[:, None, None] * _STAMP_STACK[kind]
-    a[:, :n, n:] = inc
-    a[:, n:, :n] = inc.T
-    a[:, n : n + 3, n : n + 3] = -m_t[:, None, None] * zabc
-    a[:, n + 3 :, n + 3 :] = -(1.0 - m_t)[:, None, None] * zabc
-    a[bolted, :, 0:3] = a[bolted, :, 0:3] @ _BOLTED_V[kind[bolted]]
-    a[bolted, 0:3, 0:3] += _BOLTED_R[kind[bolted]]
-    b = np.zeros((len(m_t), n + 6), dtype=complex)
-    b[:, :n] = b0
-    return a, b
+    return (a @ x[..., None])[..., 0]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -285,18 +258,23 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((np.abs(v) ** 2).sum(axis=-1)).astype(float)
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked solves with one refinement step, and their relative residuals.
+def _fixed_block(
+    y: np.ndarray, b: np.ndarray, zabc: np.ndarray, l: slice
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the base system once, over all right-hand sides.
 
-    The refinement's residual is taken in extended precision: a bolted point
-    near a line end leaves a loop voltage of order m_t, which a plain double
-    solve resolves to only a few digits. Right-hand sides get an explicit
-    trailing axis, which numpy 1.x and 2.x read alike.
+    Gives w, the healthy solution; W = [W0 | W1], the responses to a fault
+    current i_F, which enters the local bus's KCL rows as +i_F and the
+    branch row as -m Z_l i_F (W1 per unit m); and the inverse, for the
+    refinement step.
     """
-    x = np.linalg.solve(a, b[..., None])[..., 0]
-    r = b - np.einsum("kij,kj->ki", a, x, dtype=np.clongdouble)
-    x = x + np.linalg.solve(a, r.astype(complex)[..., None])[..., 0]
-    return x, _norms(np.einsum("kij,kj->ki", a, x) - b) / np.maximum(_norms(b), 1.0)
+    k = y.shape[0]
+    rhs = np.eye(k, k + 4, 4, dtype=complex)
+    rhs[:, 0] = b
+    rhs[:3, 1:4] = -zabc
+    sol = np.linalg.solve(y, rhs)
+    inv = sol[:, 4:]
+    return sol[:, 0], np.concatenate([inv[:, l], sol[:, 1:4]], axis=1), inv
 
 
 def simulate_many(
@@ -307,6 +285,27 @@ def simulate_many(
     ``None`` is a healthy pair: the line split at m_t = 0.5 and no fault,
     the system of the prefault state. The points may be of any mix of
     fault types.
+
+    Each point's system has n + 6 unknowns: the n node entries of the base
+    system, with the fault bus F's voltage in its slot, and the segment
+    currents I_LF (local bus to F) and I_FR (F to the remote bus); its rows
+    are the KCL rows and the branch rows v_L - v_F - m Z_l I_LF = 0 and
+    v_F - v_R - (1-m) Z_l I_FR = 0. A resistive point adds its fault
+    conductance g times the unit stamp of its fault type at F. A bolted
+    point has no conductance: F's unknowns are the coordinates x of its
+    fault type's bolted basis, v_F = V x, and the fault current R x enters
+    F's KCL rows. A healthy point has neither.
+
+    The systems are solved by block elimination. With the fault current
+    i_F = I_LF - I_FR as an unknown in place of I_LF, and the sum of the two
+    branch rows in place of the first, every node entry but F's and I_FR
+    form the base system, which is the same for every point and solved once
+    per call. Each point then solves the 6x6 Schur complement in F's
+    unknowns and i_F, whose only m-dependent block is C0 + m C1 + m^2 C2,
+    and back-substitutes. One refinement step follows, on the residual of
+    the full system taken in extended precision: a bolted point near a line
+    end leaves a loop voltage of order m_t, which a plain double solve
+    resolves to only a few digits.
     """
     # per system: location, resistance fraction and ohms, fault-type index;
     # row 0 is the healthy prefault state
@@ -321,48 +320,81 @@ def simulate_many(
     )
     m_t, m_f, r_f = cols[:, 0], cols[:, 1], cols[:, 2]
     kind = cols[:, 3].astype(int)
-    y0, b0, offsets = _base_system(net)
+    y, b, offsets = _base_system(net)
     nodes = tuple(sorted(offsets, key=offsets.get))
-    sg = [offsets[b.id] // 3 for b in net.buses_with_role(BusRole.SG)]
-    sg_v = np.array(
-        [b.sg_voltage.as_array() for b in net.buses_with_role(BusRole.SG)]
-    ).reshape(-1, 3)
-
+    sg_buses = net.buses_with_role(BusRole.SG)
+    sg = [offsets[bus.id] // 3 for bus in sg_buses]
+    sg_v = np.array([bus.sg_voltage.as_array() for bus in sg_buses]).reshape(-1, 3)
     zabc = _segment_zabc(net.protected.z1, net.protected.z0)
     o_l, o_r = offsets[net.local_bus], offsets[net.remote_bus]
-    # each segment current leaves its first bus and enters its second
-    n = y0.shape[0]
-    inc = np.zeros((n, 6))
-    for col, (first, second) in zip((0, 3), ((o_l, 0), (0, o_r))):
-        inc[first : first + 3, col : col + 3] = np.eye(3)
-        inc[second : second + 3, col : col + 3] = -np.eye(3)
-    # stacked solves, so that no point's solution depends on the other
-    # points of the call, in blocks of bounded size
-    x = np.empty((len(cols), n + 6), dtype=complex)
-    res = np.empty(len(cols))
-    resistive = m_f > 0.0
-    bolted = ~resistive & (kind != _NO_FAULT)
-    g = np.zeros(len(cols))
-    g[resistive] = 1.0 / (m_f[resistive] * r_f[resistive])
-    step = max(1, _BLOCK_ENTRIES // (n + 6) ** 2)
-    for start in range(0, len(cols), step):
-        blk = slice(start, start + step)
-        a, b = _systems(y0, b0, inc, zabc, m_t[blk], g[blk], kind[blk], bolted[blk])
-        x[blk], res[blk] = _solve(a, b)
-    # a bolted point's fault-bus unknowns are the coordinates of its basis
-    x[bolted, 0:3] = np.einsum("kij,kj->ki", _BOLTED_V[kind[bolted]], x[bolted, 0:3])
-    # SG slots hold the terminal currents; their voltages are the sources'
-    v = x[:, :n].reshape(len(cols), len(nodes), 3)
+    lb, rb = slice(o_l, o_l + 3), slice(o_r, o_r + 3)
+    w, w01, inv = _fixed_block(y, b, zabc, lb)
+
+    # per point, in F's unknowns x and i_F: F's KCL rows P x - i_F = 0 and
+    # the second branch row Q x + M i_F = ..., where M is that row on the
+    # base system's unknowns w - (W0 + m W1) i_F: M = C0 + m C1 + m^2 C2
+    zw = zabc @ w01[:3]
+    c0 = w01[rb, :3] + zw[:, :3]
+    c1 = w01[rb, 3:] + zw[:, 3:] - zw[:, :3]
+    m = m_t[:, None]
+    m1, mm = 1.0 - m, m[..., None]
+    s = _F_ROWS[np.where(m_f == 0.0, kind, _NO_FAULT)]
+    g = np.divide(1.0, m_f * r_f, out=np.zeros(len(cols)), where=m_f > 0.0)
+    s[:, :3, :3] += g[:, None, None] * _STAMP_STACK[kind]
+    s[:, 3:, 3:] = c0 + mm * (c1 - mm * zw[:, 3:])
+    pq = s[..., :3]  # [P; Q]
+
+    # unknowns x: F's x, I_LF, then the base system's u (I_FR first), so
+    # I_LF is refined as itself and not as i_F + I_FR, a difference of large
+    # currents for a bolted fault at the remote end; rows: F's KCL rows, the
+    # second branch row, then the base system's (the summed branch rows
+    # first)
+    lx = slice(6 + o_l, 9 + o_l)
+
+    def eliminate(u, r_f):
+        """Solution from the base system's solve u and F's rows' right-hand
+        sides r_f, which it updates in place."""
+        r_f[:, 3:] += u[..., rb] + m1 * _mv(zabc, u[..., :3])
+        z = np.linalg.solve(s, r_f[..., None])[..., 0]
+        u = u - _mv(w01, np.concatenate([z[:, 3:], m * z[:, 3:]], axis=1))
+        return np.concatenate([z[:, :3], z[:, 3:] + u[:, :3], u], axis=1)
+
+    def residual(x, y, b, zl, pq, m, m1):
+        """b - A x of the full systems, in the dtype of x and the constants."""
+        u = x[:, 6:]
+        i_f = x[:, 3:6] - u[:, :3]
+        zi = _mv(zl, x[:, 3:9].reshape(-1, 2, 3))  # Z_l I_LF, Z_l I_FR
+        r = np.empty_like(x)
+        r[:, :6] = -_mv(pq, x[:, :3])
+        r[:, :3] += i_f
+        r[:, 3:6] += u[:, rb] + m1 * zi[:, 1]
+        r[:, 6:] = b - _mv(y, u)
+        r[:, 6:9] += m * (zi[:, 0] - zi[:, 1])
+        r[:, lx] -= i_f
+        return r
+
+    x = eliminate(w, np.zeros((len(cols), 6), dtype=complex))
+    ext = (a.astype(np.clongdouble) for a in (x, y, b, zabc, pq, m, m1))
+    r = residual(*ext).astype(complex)
+    x += eliminate(_mv(inv, r[:, 6:]), r[:, :6])
+    r = residual(x, y, b, zabc, pq, m, m1)
+    r[:, 6:9] -= r[:, 3:6]  # the first branch row, from the summed ones
+    res = _norms(r) / max(float(_norms(b)), 1.0)
+
+    # node voltages, F's from its basis coordinates; SG slots hold the
+    # terminal currents, and their voltages are the sources'
+    v = np.concatenate([_mv(s[:, 3:, :3], x[:, :3]), x[:, 9:]], axis=1)
+    v = v.reshape(len(cols), len(nodes), 3)
     i_sg = v[:, sg].copy()
     v[:, sg] = sg_v
     # currents into the protected line at (local, remote): I_LF and -I_FR
-    i_line = np.stack([x[:, n : n + 3], -x[:, n + 3 :]], axis=1)
+    i_line = np.stack([x[:, 3:6], -x[:, 6:9]], axis=1)
     # prefault fault-bus voltage, interpolated along the (healthy) line
     v_f_pre = v[0, o_l // 3] - m_t[1:, None] * (zabc @ i_line[0, 0])
     return ScenarioStack(
         nodes=nodes,
         terminals=(net.local_bus, net.remote_bus),
-        sg_ids=tuple(b.id for b in net.buses_with_role(BusRole.SG)),
+        sg_ids=tuple(bus.id for bus in sg_buses),
         v_pre=v[0],
         v_f_pre=v_f_pre,
         i_sg_pre=i_sg[0],
@@ -378,84 +410,3 @@ def simulate_many(
 def simulate(net: NetworkModel, fault: FaultSpec | None) -> ScenarioResult:
     """Direct prefault and during-fault solve; ``fault=None`` is a healthy pair."""
     return simulate_many(net, [fault]).scenario(0)
-
-
-def verify_grid(
-    net: NetworkModel,
-    faults: Sequence[FaultSpec],
-    cache: OmegaCache | None = None,
-) -> list[VerificationReport]:
-    """Cross-check the incremental pipeline against the direct solves.
-
-    ``faults`` are N points of any mix of fault types, checked as arrays:
-    one simulator stack for all of them, then per fault type one Omega stack
-    from the cache's terminal reduction and, since every point shares the
-    prefault window, sigma as one product.
-    """
-    faults = tuple(faults)
-    if not faults:
-        return []
-    cache = cache or OmegaCache(net)
-    line = net.protected
-    etas = np.array([f.eta for f in faults])
-    cols = np.array([(f.m_t, f.m_f, f.r_f) for f in faults])
-    sim = simulate_many(net, faults)
-
-    local = sim.nodes.index(net.local_bus)
-    i_prev, r_prev = sim.i_line_pre
-    i_now, r_now = sim.i_line_post[:, 0], sim.i_line_post[:, 1]
-    sigma_direct = r_now - r_prev
-    i_f_pre_norm = float(np.linalg.norm(i_prev + r_prev))
-    balance = i_f_pre_norm / max(float(np.linalg.norm(i_prev)), 1e-300)
-    sg = [sim.nodes.index(bus_id) for bus_id in sim.sg_ids]
-    sg_inc = _norms(sim.v_post[:, sg] - sim.v_pre[sg]).max(axis=1, initial=0.0)
-    pre = np.concatenate([sim.v_pre[local], i_prev])
-
-    sigma_err = np.zeros(len(faults))
-    z_err = np.empty(len(faults))
-    for eta in dict.fromkeys(etas.tolist()):  # fault types in order of first point
-        sel = np.flatnonzero(etas == eta)
-        m_t, m_f, r_f = cols[sel].T
-        window = MeasurementWindow(
-            v_prev=sim.v_pre[local],
-            i_prev=i_prev,
-            v_now=sim.v_post[sel, local],
-            i_now=i_now[sel],
-        )
-        lq = loop_quantities(eta, window, line)
-        low = np.abs(lq.i_a) <= config.I_MIN
-        if low.any():
-            raise ValueError(f"loop not energized by fault {faults[sel[np.argmax(low)]]}")
-        z_measured = lq.v_a / lq.i_a
-
-        # bolted points keep sigma = 0: their formula reads m_t z1 exactly
-        direct = sigma_direct[sel]
-        sigma = np.zeros_like(direct)
-        res = m_f > 0.0
-        if res.any():
-            omegas = cache.omegas(eta, m_t[res], m_f[res], r_f[res])
-            sigma[res] = omegas @ pre
-            # where nothing beyond the remote bus carries current, sigma_direct
-            # vanishes and sigma is held to the local current's increment
-            scale = _norms(direct[res])
-            delta_i = _norms(i_now[sel[res]] - i_prev)
-            scale = np.where(scale <= 1e-12 * delta_i, delta_i, scale)
-            sigma_err[sel[res]] = _norms(sigma[res] - direct[res]) / np.maximum(
-                scale, 1e-300
-            )
-        z_formula = apparent_impedances(eta, window, line, sigma, m_t, m_f, r_f)
-        z_err[sel] = np.abs(z_formula - z_measured) / np.maximum(
-            np.abs(z_measured), 1e-300
-        )
-
-    return [
-        VerificationReport(
-            fault=f,
-            sigma_rel_err=float(sigma_err[k]),
-            z_a_rel_err=float(z_err[k]),
-            sg_voltage_inc_norm=float(sg_inc[k]),
-            prefault_fault_current_norm=i_f_pre_norm,
-            prefault_balance_residual=balance,
-        )
-        for k, f in enumerate(faults)
-    ]

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, and format round trips."""
 
+import dataclasses
 import json
 
 import pytest
@@ -208,20 +209,12 @@ def test_verify_fails_when_residuals_exceed_thresholds(monkeypatch, capsys):
     # verification compares the pipeline against the simulator built from the
     # same file, so a residual failure is injected at the report boundary
     import incrrelay.cli as cli
-    from incrrelay.simulator import VerificationReport
 
     real_verify = cli.verify_grid
 
     def tampered(net, faults, cache):
         return [
-            VerificationReport(
-                fault=rep.fault,
-                sigma_rel_err=rep.sigma_rel_err + 1e-3,
-                z_a_rel_err=rep.z_a_rel_err,
-                sg_voltage_inc_norm=rep.sg_voltage_inc_norm,
-                prefault_fault_current_norm=rep.prefault_fault_current_norm,
-                prefault_balance_residual=rep.prefault_balance_residual,
-            )
+            dataclasses.replace(rep, sigma_rel_err=rep.sigma_rel_err + 1e-3)
             for rep in real_verify(net, faults, cache)
         ]
 

@@ -33,6 +33,7 @@ from incrrelay.config import I_MIN
 
 from netgen import random_network, random_network_text
 from test_reduction import NETWORKS
+from test_simulator import sg_current_mismatch
 
 # both line ends and the interior; verify checks resistive points only
 M_T = (0.0, 0.37, 1.0)
@@ -56,7 +57,8 @@ def test_grid_reports_meet_the_verify_thresholds(name):
             assert rep.sigma_rel_err <= SIGMA_THRESHOLD, rep
             assert rep.z_a_rel_err <= Z_A_THRESHOLD, rep
             assert rep.prefault_balance_residual <= BALANCE_THRESHOLD, rep
-            assert rep.sg_voltage_inc_norm == 0.0
+    points = [f for eta in FAULT_TYPES for f in _grid(net, eta)]
+    assert sg_current_mismatch(net, simulate_many(net, points)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["fourbus", "seed7"])
@@ -122,26 +124,16 @@ def test_verify_solves_prefault_and_reduces_once_per_command(monkeypatch):
     inc_mod = import_module("incrrelay.incremental")
     calls = {}
     _counting(monkeypatch, sim_mod, "_base_system", calls)
+    _counting(monkeypatch, sim_mod, "_fixed_block", calls)
     _counting(monkeypatch, inc_mod, "terminal_impedance", calls)
-    shapes = []
-    real_systems = sim_mod._systems
-
-    def systems(*args):
-        a, b = real_systems(*args)
-        shapes.append(a.shape)
-        return a, b
-
-    monkeypatch.setattr(sim_mod, "_systems", systems)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = main(["verify", "--fault", "all", "--grid", "dense:4x3"])
     assert rc == 0
     points = len(FAULT_TYPES) * 4 * 2
     assert len(out.getvalue().splitlines()) == 1 + points
-    # the network outside the fault is stamped and reduced once, and the
-    # prefault state is one more system of the same stack
-    assert calls == {"_base_system": 1, "terminal_impedance": 1}
-    assert sum(shape[0] for shape in shapes) == points + 1
-    assert {shape[1:] for shape in shapes} == {(15 + 6, 15 + 6)}
+    # the healthy network is stamped, solved and reduced once per command;
+    # the prefault state and every fault point share that one solve
+    assert calls == {"_base_system": 1, "_fixed_block": 1, "terminal_impedance": 1}
 
 
 def _verify_stdout(*argv):
@@ -161,39 +153,31 @@ def test_verify_all_prints_the_single_type_rows():
     assert whole[1:] == rows
 
 
-def test_blocked_simulator_solves_give_the_same_stack(net, monkeypatch):
-    sim_mod = import_module("incrrelay.simulator")
-    # a mixed stack: resistive, bolted and healthy points of several types
+STACK_FIELDS = ("v_post", "i_sg_post", "i_line_post", "kcl_residual_fault", "v_f_pre")
+PREFAULT_FIELDS = ("v_pre", "i_sg_pre", "i_line_pre", "kcl_residual_prefault")
+
+
+@pytest.mark.parametrize("name", ["fourbus", "seed7"])
+def test_a_point_alone_is_bitwise_its_row_of_a_larger_call(name):
+    # every point's solve and refinement is its own, so a point's stack
+    # entries do not depend on the other points of a call: resistive, bolted
+    # and healthy rows of several types, at the line ends and inside
+    net = NETWORKS[name]
     faults = [
         f for eta in ("abg", "bc", "cg") for f in _grid(net, eta, (0.0,) + M_F)
     ] + [None, None]
     order = np.random.default_rng(6).permutation(len(faults))
     faults = [faults[k] for k in order]
-    resistive = [f for f in faults if f is not None and f.m_f > 0.0]
     whole = simulate_many(net, faults)
-    reports = verify_grid(net, resistive)
-    sizes = []
-    real_systems = sim_mod._systems
-
-    def counted(*args):
-        a, b = real_systems(*args)
-        sizes.append(a.size)
-        return a, b
-
-    monkeypatch.setattr(sim_mod, "_systems", counted)
-    # blocks of two systems of n + 6 unknowns (n = 15 node entries, six
-    # segment currents), the same size for healthy, resistive and bolted
-    # points
-    monkeypatch.setattr(sim_mod, "_BLOCK_ENTRIES", 2 * 21**2)
-    blocked = simulate_many(net, faults)
-    assert max(sizes) <= 2 * 21**2
-    # the prefault state, 20 resistive or healthy points and 9 bolted ones
-    assert len(sizes) == 15
-    names = ("v_pre", "i_line_pre", "kcl_residual_prefault", "v_post", "i_sg_post",
-             "i_line_post", "kcl_residual_fault", "v_f_pre")
-    for name in names:
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
-    assert verify_grid(net, resistive) == reports
+    for k, fault in enumerate(faults):
+        alone = simulate_many(net, [fault])
+        for field in STACK_FIELDS:
+            assert np.array_equal(getattr(alone, field)[0], getattr(whole, field)[k]), (
+                field,
+                fault,
+            )
+        for field in PREFAULT_FIELDS:
+            assert np.array_equal(getattr(alone, field), getattr(whole, field)), field
 
 
 def _numpy1_solve(real_solve):
