@@ -3,6 +3,8 @@
 Three constructions over the fault uncertainty (m_t, m_f) in [0,1]^2:
 the exact sampled point cloud, the parallelogram from a point estimate of
 the remote current, and the convex hull of sampled apparent impedances.
+A grid of fault points is an (N, 2) float array of (m_t, m_f) rows; the
+``grid_*`` presets return one.
 """
 
 from __future__ import annotations
@@ -31,38 +33,37 @@ class Characteristic:
         return self.kind in ("parallelogram", "convex-hull")
 
 
-def grid_paper22() -> tuple[tuple[float, float], ...]:
+def grid_paper22() -> np.ndarray:
     """The 22-point default: both bolted endpoints plus a 5x4 grid.
 
     Locations run over {0, .25, .5, .75, 1} and resistance fractions over
-    {.25, .5, .75, 1}.
+    {.25, .5, .75, 1}: the 5x5 dense grid less its bolted interior.
     """
-    pts = [(0.0, 0.0), (1.0, 0.0)]
-    for m_f in (0.25, 0.5, 0.75, 1.0):
-        for m_t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            pts.append((m_t, m_f))
-    return tuple(pts)
+    return np.vstack([[0.0, 0.0], [1.0, 0.0], grid_dense(5, 5)[5:]])
 
 
-def grid_corners4() -> tuple[tuple[float, float], ...]:
-    return ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+def grid_corners4() -> np.ndarray:
+    """The four corners of the [0,1]^2 uncertainty square."""
+    return np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 
-def grid_dense(n_t: int, n_f: int) -> tuple[tuple[float, float], ...]:
+def grid_dense(n_t: int, n_f: int) -> np.ndarray:
+    """n_t x n_f evenly spaced points of [0,1]^2, m_t varying fastest."""
     ts = np.linspace(0.0, 1.0, n_t)
     fs = np.linspace(0.0, 1.0, n_f)
-    return tuple((float(t), float(f)) for f in fs for t in ts)
+    return np.stack(np.meshgrid(ts, fs), -1).reshape(-1, 2)
 
 
-def grid_perimeter(n: int) -> tuple[tuple[float, float], ...]:
-    """n points per edge on the boundary of the [0,1]^2 uncertainty square."""
-    vals = np.linspace(0.0, 1.0, n)
-    pts: list[tuple[float, float]] = []
-    for v in vals:
-        pts.extend(
-            [(float(v), 0.0), (float(v), 1.0), (0.0, float(v)), (1.0, float(v))]
-        )
-    return tuple(dict.fromkeys(pts))
+def grid_perimeter(n: int) -> np.ndarray:
+    """n points per edge on the boundary of the [0,1]^2 uncertainty square:
+    (v, 0), (v, 1), (0, v), (1, v) for each v, a corner where first met."""
+    v = np.linspace(0.0, 1.0, n)
+    zero, one = np.zeros(n), np.ones(n)
+    pts = np.stack([v, zero, v, one, zero, v, one, v], -1).reshape(-1, 2)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: equal rows keep input order
+    s = pts[order]
+    first = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
+    return pts[np.sort(order[first])]
 
 
 def exact_sampled(
@@ -74,19 +75,24 @@ def exact_sampled(
 ) -> Characteristic:
     """Point cloud of apparent impedances over a grid of fault realizations.
 
+    ``grid`` is any (N, 2) array-like of (m_t, m_f) rows. It is copied once
+    as a float array, ``meta["grid"]``, whose row k is sample k's point.
+
     All resistive points are evaluated at once: one Omega stack from the
     cache's terminal reduction, then remote currents and apparent
     impedances as array operations.
     """
     if eta not in FAULT_TYPES:
         raise ValueError(f"unknown fault type {eta!r}; expected one of {FAULT_TYPES}")
-    if not grid:
+    grid = np.array(grid, dtype=float)
+    if not grid.size:
         raise ValueError("grid must be non-empty")
+    if grid.ndim != 2 or grid.shape[1] != 2:
+        raise ValueError(f"grid must be (N, 2) rows (m_t, m_f), not shape {grid.shape}")
     cache = cache or OmegaCache(net)
     line = net.protected
-    pts = np.asarray(grid, dtype=float).reshape(-1, 2)
-    m_t, m_f = pts.T
-    bad = ~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)  # NaN is outside too
+    m_t, m_f = grid.T
+    bad = ~((grid >= 0.0) & (grid <= 1.0)).all(axis=1)  # NaN is outside too
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(
@@ -106,7 +112,7 @@ def exact_sampled(
             # is where a pointwise sweep fails
             k = int(np.argmax(res))
             raise type(exc)(
-                f"{exc} [at grid point (m_t={grid[k][0]}, m_f={grid[k][1]})]"
+                f"{exc} [at grid point (m_t={m_t[k]}, m_f={m_f[k]})]"
             ) from exc
     samples = tuple(z.tolist())
     return Characteristic(
@@ -114,7 +120,7 @@ def exact_sampled(
         vertices=samples,
         eta=eta,
         samples=samples,
-        meta={"grid": list(zip(m_t.tolist(), m_f.tolist()))},
+        meta={"grid": grid},
     )
 
 
@@ -189,13 +195,13 @@ def convex_hull(points) -> list[complex]:
     The vertices are exactly the extreme points: collinear boundary points
     are pruned by an exact orientation test. The hull starts at the
     lexicographically smallest point; one- and two-point inputs come back
-    as degenerate polygons.
+    as degenerate polygons. Of equal points the first one given is kept.
     """
-    uniq = list(dict.fromkeys(complex(p) for p in points))
-    if not uniq:
+    z = np.asarray(points, dtype=complex)
+    if not z.size:
         raise ValueError("need at least one point")
-    xy = np.array([(p.real, p.imag) for p in uniq])
-    pts = [uniq[k] for k in np.lexsort((xy[:, 1], xy[:, 0]))]
+    z = z[np.lexsort((z.imag, z.real))]  # stable: equal points keep input order
+    pts = z[np.concatenate(([True], z[1:] != z[:-1]))].tolist()
     if len(pts) <= 2:
         return pts
 

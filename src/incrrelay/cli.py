@@ -86,7 +86,7 @@ def _parse_faults(spec: str) -> list[str]:
     return names
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str) -> np.ndarray:
     if spec == "paper22":
         return grid_paper22()
     if spec == "corners4":
@@ -138,18 +138,9 @@ class _IOFailure(Exception):
 
 def cloud_csv(ch: Characteristic) -> str:
     lines = ["m_t,m_f,re_z,im_z"]
-    for (m_t, m_f), z in zip(ch.meta["grid"], ch.samples):
+    for (m_t, m_f), z in zip(ch.meta["grid"].tolist(), ch.samples):
         lines.append(f"{_fmt(m_t)},{_fmt(m_f)},{_fmt(z.real)},{_fmt(z.imag)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_cloud_csv(text: str) -> list[dict]:
-    rows = []
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    for ln in lines[1:]:
-        rows.append(dict(zip(header, (float(v) for v in ln.split(",")))))
-    return rows
 
 
 def _vertex_list(vertices) -> list:
@@ -168,7 +159,7 @@ def characteristic_json(
         "line_impedance": _vertex_list([0j, z1]),
         "cloud": [
             {"m_t": m_t, "m_f": m_f, "z": [float(z.real), float(z.imag)]}
-            for (m_t, m_f), z in zip(cloud.meta["grid"], cloud.samples)
+            for (m_t, m_f), z in zip(cloud.meta["grid"].tolist(), cloud.samples)
         ],
         "hull": _vertex_list(hull.vertices),
         "parallelogram": _vertex_list(para.vertices),
@@ -354,8 +345,7 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
 
     # every point of the command, all fault types, is one stack
-    pts = np.asarray(grid, dtype=float).reshape(-1, 2)
-    pts = pts[pts[:, 1] != 0.0]
+    pts = grid[grid[:, 1] != 0.0]
     if not len(pts):
         raise ValueError(f"grid {args.grid!r} has no resistive point (m_f > 0) to verify")
     points = [

@@ -126,11 +126,38 @@ def assert_all_points_left_of_all_edges(hull, points):
 
 
 def test_grid_presets():
-    assert len(grid_paper22()) == 22
-    assert len(grid_corners4()) == 4
+    # exact floats in order: a nominal point is found in a cloud by equality
+    bolted = [(0.0, 0.0), (1.0, 0.0)]
+    resistive = [
+        (m_t, m_f)
+        for m_f in (0.25, 0.5, 0.75, 1.0)
+        for m_t in (0.0, 0.25, 0.5, 0.75, 1.0)
+    ]
+    assert grid_paper22().tolist() == [list(p) for p in bolted + resistive]
+    assert grid_corners4().tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    assert grid_dense(3, 2).tolist() == [
+        [0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]
+    ]
+    ts = np.linspace(0.0, 1.0, 7)
+    assert grid_dense(7, 3)[:7, 0].tolist() == ts.tolist()
+    for g in (grid_paper22(), grid_corners4(), grid_dense(5, 4), grid_perimeter(5)):
+        assert g.dtype == np.float64 and g.ndim == 2 and g.shape[1] == 2
     assert len(grid_dense(5, 4)) == 20
-    per = grid_perimeter(5)
-    assert all(0.0 in pt or 1.0 in pt for pt in per)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_grid_perimeter_visits_each_boundary_point_once(n):
+    per = grid_perimeter(n).tolist()
+    assert len(per) == (4 * n - 4 if n > 1 else 3)
+    assert all(0.0 in p or 1.0 in p for p in per)
+    # first-occurrence order of (v, 0), (v, 1), (0, v), (1, v) over v
+    expected = []
+    for v in np.linspace(0.0, 1.0, n).tolist():
+        for p in ([v, 0.0], [v, 1.0], [0.0, v], [1.0, v]):
+            if p not in expected:
+                expected.append(p)
+    assert per == expected
+    assert per[:3] == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
 
 def test_hull_drops_interior_point():
@@ -215,7 +242,7 @@ def test_exact_sampled_bolted_row_is_collinear(net, window_ag):
     grid = [(t, 0.0) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     ch = exact_sampled(net, "ag", window_ag, grid)
     z1 = net.protected.z1
-    assert ch.meta["grid"] == grid
+    assert np.array_equal(ch.meta["grid"], grid)
     for (m_t, _), z in zip(ch.meta["grid"], ch.samples):
         assert abs(z - m_t * z1) <= 1e-15
     # the line ends read exactly 0 and z1
@@ -229,6 +256,38 @@ def test_exact_sampled_annotates_failing_grid_point(net):
     dead = MeasurementWindow(z, z, z, z)
     with pytest.raises(Exception, match=r"grid point \(m_t=0.5, m_f=0.5\)"):
         exact_sampled(net, "ag", dead, [(0.5, 0.5)])
+
+
+def test_exact_sampled_takes_an_array_grid(net, window_ag):
+    pairs = [(m_t, m_f) for m_f in (0.0, 0.5, 1.0) for m_t in (0.0, 0.3, 1.0)]
+    arr = np.array(pairs)
+    from_pairs = exact_sampled(net, "ag", window_ag, pairs)
+    from_array = exact_sampled(net, "ag", window_ag, arr)
+    assert from_array.samples == from_pairs.samples
+    assert np.array_equal(from_array.meta["grid"], from_pairs.meta["grid"])
+    # meta["grid"] is a copy: changing the caller's array later changes nothing
+    arr[:] = 0.5
+    assert np.array_equal(from_array.meta["grid"], pairs)
+    assert from_array.meta["grid"].dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "grid, shape",
+    [
+        (np.zeros((2, 3)), r"\(2, 3\)"),
+        ([0.5, 0.5, 0.5], r"\(3,\)"),
+        (np.full((2, 2, 1), 0.5), r"\(2, 2, 1\)"),
+    ],
+)
+def test_exact_sampled_rejects_a_misshaped_grid(net, window_ag, grid, shape):
+    with pytest.raises(ValueError, match=r"\(N, 2\).*" + shape):
+        exact_sampled(net, "ag", window_ag, grid)
+
+
+@pytest.mark.parametrize("grid", [[], (), np.empty((0, 2))])
+def test_exact_sampled_rejects_an_empty_grid(net, window_ag, grid):
+    with pytest.raises(ValueError, match="grid must be non-empty"):
+        exact_sampled(net, "ag", window_ag, grid)
 
 
 @pytest.mark.parametrize("x", [-0.1, 1.1, float("nan")])

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, and format round trips."""
 
+import csv
 import dataclasses
 import json
 
@@ -18,7 +19,6 @@ from incrrelay.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
-    parse_cloud_csv,
 )
 
 NET = fourbus_path()
@@ -306,14 +306,15 @@ def test_svg_output_is_deterministic(tmp_path):
 def test_csv_json_round_trip_precision(tmp_path):
     out = tmp_path / "rt"
     main(["characteristic", "--network", NET, "--fault", "ag", "--out", str(out)])
-    rows = parse_cloud_csv((tmp_path / "rt.csv").read_text())
+    with open(tmp_path / "rt.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
     doc = json.loads((tmp_path / "rt.json").read_text())
     assert len(rows) == len(doc["cloud"])
     for row, entry in zip(rows, doc["cloud"]):
         # 17 significant digits survive the text round trip bit-exactly
-        assert row["re_z"] == entry["z"][0]
-        assert row["im_z"] == entry["z"][1]
-        assert row["m_t"] == entry["m_t"]
+        assert float(row["re_z"]) == entry["z"][0]
+        assert float(row["im_z"]) == entry["z"][1]
+        assert float(row["m_t"]) == entry["m_t"]
 
 
 def test_line_end_locations_are_evaluated_exactly(tmp_path, net, window_ag, capsys):
